@@ -68,13 +68,13 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "fd/planner.h"
 #include "fd/repair_report.h"
 #include "fd/repair_search.h"
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "query/kernels.h"
 #include "relation/csv.h"
@@ -271,177 +271,6 @@ bool SamePrefix(const relation::Relation& prefix,
   return true;
 }
 
-/// Sampled variant of the monitor loop: same batch grid and check cadence
-/// as the exact path, but measures come from a seeded reservoir and every
-/// report carries an error interval. Kept separate rather than templated —
-/// the summary and checkpoint shapes differ enough that sharing the loop
-/// would obscure both.
-int RunMonitorSampled(const std::string& csv_path,
-                      const relation::Relation& full,
-                      std::optional<fd::SampledMonitorCheckpoint> ckpt_opt,
-                      const std::vector<std::string>& fd_texts,
-                      size_t check_interval, size_t initial, size_t batch,
-                      size_t stop_after, size_t sample, uint64_t sample_seed,
-                      bool suggest, const std::string& snapshot_path,
-                      const std::string& resume_path) {
-  constexpr size_t kUnset = static_cast<size_t>(-1);
-  if (suggest) {
-    // Repair search ranks candidates by exact measures; estimates would
-    // rank by noise.
-    std::cerr << "monitor --sample: --suggest needs exact measures\n";
-    return 2;
-  }
-  const bool resuming = ckpt_opt.has_value();
-  const size_t n = full.tuple_count();
-
-  std::optional<fd::SampledSchemaMonitor> monitor;
-  size_t start = 0;
-  size_t batch_hint = 0;
-  if (resuming) {
-    fd::SampledMonitorCheckpoint ckpt = std::move(*ckpt_opt);
-    if (!SameSchema(ckpt.base.rel.schema(), full.schema())) {
-      std::cerr << "cannot resume: checkpoint schema does not match "
-                << csv_path << "\n";
-      return 1;
-    }
-    start = ckpt.base.rel.tuple_count();
-    if (start > n) {
-      std::cerr << "cannot resume: checkpoint holds " << start
-                << " tuples but " << csv_path << " has only " << n << "\n";
-      return 1;
-    }
-    if (!SamePrefix(ckpt.base.rel, full)) {
-      std::cerr << "cannot resume: the first " << start << " rows of "
-                << csv_path << " differ from the checkpointed stream\n";
-      return 1;
-    }
-    check_interval = ckpt.base.check_interval;
-    if (check_interval == 0) check_interval = 1;
-    batch_hint = ckpt.base.stream_batch_hint;
-    try {
-      monitor.emplace(std::move(ckpt));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "cannot resume from " << resume_path << ": " << e.what()
-                << "\n";
-      return 1;
-    }
-  } else {
-    if (initial == kUnset) initial = std::max<size_t>(1, n / 10);
-    initial = std::min(initial, n);
-    start = initial;
-
-    std::vector<fd::Fd> fds;
-    for (const auto& text : fd_texts) {
-      try {
-        fds.push_back(fd::Fd::Parse(text, full.schema()));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "bad FD '" << text << "': " << e.what() << "\n";
-        return 1;
-      }
-    }
-    relation::Relation seed_rel(full.name(), full.schema());
-    for (size_t t = 0; t < initial; ++t) seed_rel.AppendRow(RowOf(full, t));
-    monitor.emplace(std::move(seed_rel), std::move(fds), check_interval,
-                    sample, sample_seed);
-  }
-
-  // Batch/stop arithmetic identical to the exact path (see RunMonitor):
-  // the batch grid IS the check cadence, so resume must reproduce it.
-  if (batch == 0) batch = batch_hint != 0 ? batch_hint : check_interval;
-  batch = std::min(batch, check_interval);
-  size_t stop = n;
-  if (stop_after != kUnset) {
-    stop = std::min(n, start + (stop_after / batch) * batch);
-  }
-  const bool truncated = stop < n;
-
-  monitor->OnDrift([&](const fd::DriftEvent& ev) {
-    std::cout << "drift @ " << ev.tuple_count << " tuples: "
-              << monitor->fds()[ev.fd_index].fd.ToString(full.schema())
-              << "  confidence=" << ev.measures.confidence;
-    if (ev.approx) {
-      std::cout << " in [" << ev.confidence_lo << ", " << ev.confidence_hi
-                << "]";
-    }
-    std::cout << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
-                                                       : "  [violated]")
-              << "\n";
-  });
-
-  std::cout << "Monitoring " << csv_path << " (reservoir "
-            << monitor->sample_capacity() << ", seed "
-            << monitor->sample_seed() << "): " << n << " rows (" << start
-            << (resuming ? " from checkpoint" : " seed") << " + "
-            << (stop - start) << " streamed), check every " << check_interval
-            << " inserts, batch " << batch << "\n";
-  for (size_t i = 0; i < monitor->fds().size(); ++i) {
-    const auto& m = monitor->fds()[i];
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << (m.was_exact_at_registration ? "  [no sampled witness]"
-                                              : "  [ALREADY VIOLATED]")
-              << "\n";
-  }
-
-  util::Timer timer;
-  std::vector<std::vector<relation::Value>> rows;
-  rows.reserve(batch);
-  for (size_t t = start; t < stop;) {
-    rows.clear();
-    const size_t batch_end = std::min(stop, t + batch);
-    for (; t < batch_end; ++t) rows.push_back(RowOf(full, t));
-    monitor->InsertBatch(rows);
-  }
-  if (!truncated) monitor->CheckNow();
-  const double ms = timer.ElapsedMs();
-
-  std::cout << "\nIngested " << (stop - start) << " tuples in " << ms
-            << " ms (" << monitor->checks_run() << " checks";
-  if (ms > 0) {
-    std::cout << ", " << static_cast<size_t>((stop - start) * 1000.0 / ms)
-              << " tuples/sec";
-  }
-  std::cout << ")\n";
-  if (truncated) {
-    std::cout << "Stopped at tuple " << stop << " (" << (n - stop)
-              << " remaining; resume with --resume)\n";
-  }
-  std::cout << "Drift events: " << monitor->drift_log().size() << "\n";
-  for (size_t i = 0; i < monitor->fds().size(); ++i) {
-    const auto& m = monitor->fds()[i];
-    const fd::SampledMeasures& est = monitor->estimates()[i];
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << "  c~" << est.measures.confidence;
-    if (est.approx) {
-      std::cout << " in [" << est.confidence_lo << ", " << est.confidence_hi
-                << "]";
-    }
-    std::cout << "  g~" << est.measures.goodness;
-    if (est.approx) {
-      std::cout << " in [" << est.goodness_lo << ", " << est.goodness_hi
-                << "]";
-    }
-    std::cout << "  (sample " << est.sample_rows << "/" << est.live_rows
-              << " live rows)"
-              << (m.violated ? "  VIOLATED (since tuple " +
-                                   std::to_string(m.first_violation_at) + ")"
-                             : "  no sampled witness")
-              << "\n";
-  }
-
-  if (!snapshot_path.empty()) {
-    fd::SampledMonitorCheckpoint out_ckpt = monitor->Checkpoint();
-    out_ckpt.base.stream_batch_hint = batch;
-    std::string err;
-    if (!storage::SaveSampledCheckpoint(out_ckpt, snapshot_path, &err)) {
-      std::cerr << "cannot write checkpoint: " << err << "\n";
-      return 1;
-    }
-    std::cout << "Checkpoint written to " << snapshot_path << " ("
-              << monitor->rel().tuple_count() << " tuples)\n";
-  }
-  return 0;
-}
-
 int RunMonitor(int argc, char** argv) {
   if (argc < 4) return Usage(argv[0]);
   const std::string csv_path = argv[2];
@@ -544,22 +373,8 @@ int RunMonitor(int argc, char** argv) {
   const relation::Relation& full = *loaded;
   const size_t n = full.tuple_count();
 
-  // Sampled monitoring takes its own path below: a fresh run with
-  // --sample, or a resume whose file holds a sampled (kind 5) checkpoint.
-  std::optional<fd::SampledMonitorCheckpoint> sampled_ckpt;
-  if (resuming) {
-    auto sc = storage::LoadSampledCheckpoint(resume_path);
-    if (sc.ok()) sampled_ckpt = std::move(sc.checkpoint);
-  }
-  if (sample != 0 || sampled_ckpt.has_value()) {
-    return RunMonitorSampled(csv_path, full, std::move(sampled_ckpt),
-                             fd_texts, check_interval, initial, batch,
-                             stop_after, sample, sample_seed, suggest,
-                             snapshot_path, resume_path);
-  }
-
   // Construct the monitor: fresh (seeded from the stream prefix) or
-  // resumed from a checkpoint.
+  // resumed from a checkpoint — exact or sampled, as the file says.
   std::optional<fd::SchemaMonitor> monitor;
   size_t start = 0;
   size_t batch_hint = 0;
@@ -616,8 +431,20 @@ int RunMonitor(int argc, char** argv) {
     }
     relation::Relation seed(full.name(), full.schema());
     for (size_t t = 0; t < initial; ++t) seed.AppendRow(RowOf(full, t));
-    monitor.emplace(std::move(seed), std::move(fds), check_interval,
-                    threads);
+    if (sample != 0) {
+      monitor.emplace(std::move(seed), std::move(fds), check_interval, sample,
+                      sample_seed);
+    } else {
+      monitor.emplace(std::move(seed), std::move(fds), check_interval,
+                      threads);
+    }
+  }
+  const bool sampled = monitor->sampled();
+  if (sampled && suggest) {
+    // Repair search ranks candidates by exact measures; estimates would
+    // rank by noise.
+    std::cerr << "monitor --sample: --suggest needs exact measures\n";
+    return 2;
   }
 
   // Batch default: the checkpoint's recorded streaming batch when
@@ -640,24 +467,44 @@ int RunMonitor(int argc, char** argv) {
   }
   const bool truncated = stop < n;
 
+  // Sampled reports carry the estimate's error interval where it has one.
+  const auto interval = [](bool approx, double lo, double hi) {
+    std::ostringstream os;
+    if (approx) os << " in [" << lo << ", " << hi << "]";
+    return os.str();
+  };
   monitor->OnDrift([&](const fd::DriftEvent& ev) {
     std::cout << "drift @ " << ev.tuple_count << " tuples: "
               << monitor->fds()[ev.fd_index].fd.ToString(full.schema())
-              << "  confidence=" << ev.measures.confidence
-              << "  goodness=" << ev.measures.goodness << "\n";
+              << "  confidence=" << ev.measures.confidence;
+    if (sampled) {
+      std::cout << interval(ev.approx, ev.confidence_lo, ev.confidence_hi)
+                << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
+                                                         : "  [violated]");
+    } else {
+      std::cout << "  goodness=" << ev.measures.goodness;
+    }
+    std::cout << "\n";
   });
 
-  LogKernelTier();
-  std::cout << "Monitoring " << csv_path << ": " << n << " rows ("
-            << start << (resuming ? " from checkpoint" : " seed") << " + "
+  if (!sampled) LogKernelTier();
+  std::cout << "Monitoring " << csv_path;
+  if (sampled) {
+    std::cout << " (reservoir " << monitor->sample_capacity() << ", seed "
+              << monitor->sample_seed() << ")";
+  }
+  std::cout << ": " << n << " rows (" << start
+            << (resuming ? " from checkpoint" : " seed") << " + "
             << (stop - start) << " streamed), check every " << check_interval
-            << " inserts, batch " << batch << ", threads "
-            << monitor->threads() << "\n";
+            << " inserts, batch " << batch;
+  if (!sampled) std::cout << ", threads " << monitor->threads();
+  std::cout << "\n";
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
     std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << (m.was_exact_at_registration ? "  [exact at registration]"
-                                              : "  [ALREADY VIOLATED]")
+              << (!m.was_exact_at_registration ? "  [ALREADY VIOLATED]"
+                  : sampled                    ? "  [no sampled witness]"
+                                               : "  [exact at registration]")
               << "\n";
   }
 
@@ -693,12 +540,23 @@ int RunMonitor(int argc, char** argv) {
   size_t violated_count = 0;
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
+    const fd::SampledMeasures& est = monitor->estimates()[i];
     if (m.violated) ++violated_count;
-    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema())
-              << "  c=" << m.measures.confidence
-              << "  g=" << m.measures.goodness
-              << (m.violated ? "  VIOLATED (since tuple " +
+    std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema());
+    if (sampled) {
+      std::cout << "  c~" << est.measures.confidence
+                << interval(est.approx, est.confidence_lo, est.confidence_hi)
+                << "  g~" << est.measures.goodness
+                << interval(est.approx, est.goodness_lo, est.goodness_hi)
+                << "  (sample " << est.sample_rows << "/" << est.live_rows
+                << " live rows)";
+    } else {
+      std::cout << "  c=" << m.measures.confidence
+                << "  g=" << m.measures.goodness;
+    }
+    std::cout << (m.violated ? "  VIOLATED (since tuple " +
                                    std::to_string(m.first_violation_at) + ")"
+                  : sampled  ? "  no sampled witness"
                              : "  exact")
               << "\n";
   }

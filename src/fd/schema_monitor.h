@@ -1,40 +1,56 @@
 // Continuous FD validation over an evolving instance (§1's "periodic or
 // continuous checks of FD validity").
 //
-// The monitor owns a relation that receives inserts; every `check_interval`
-// mutations (inserts and deletes both count) it re-validates the declared
-// FDs and records which of them drifted from exact to violated — or, under
-// deletions, recovered from violated back to exact. The designer then asks
-// for repair suggestions on the drifted set.
+// The monitor watches a relation that receives inserts; every
+// `check_interval` mutations (inserts and deletes both count) it
+// re-validates the declared FDs and records which of them drifted from
+// exact to violated — or, under deletions, recovered from violated back to
+// exact. The designer then asks for repair suggestions on the drifted set.
 //
-// Checks are incremental: the monitor owns one query::DistinctEvaluator
-// for its whole lifetime and materializes the |π_X| / |π_XY| groupings of
-// every monitored FD once, at registration. Each check then advances those
-// groupings over just the rows appended since the previous check — O(Δ)
-// per check instead of the O(n) a from-scratch evaluator pays — and reads
-// the violation state straight off the maintained group counts: an exact
-// X→Y breaks exactly when a new tuple lands in an existing X-group under a
-// new XY-key, which is the one event that moves |π_XY| without |π_X|.
+// One check loop, two measure sources, fixed at construction:
 //
-// Deletions fold in at the same cost class: the evaluator keeps per-group
-// live refcounts, so one deleted row is one decrement per maintained
-// grouping, and the counts a check reads are live-row counts. Removing the
-// last witness of a violating XY-pair is the one event that moves |π_XY|
-// down to |π_X| — the violated→exact transition the recovery event
-// reports. A compaction of the monitored relation resets the evaluator;
-// the monitor detects it (Relation::compactions()) and re-materializes
-// every monitored grouping so subsequent checks stay O(Δ).
+//   * **exact** (the default) — the monitor owns one query::DistinctEvaluator
+//     for its whole lifetime and materializes the |π_X| / |π_XY| groupings
+//     of every monitored FD once, at registration. Each check then
+//     advances those groupings over just the rows appended since the
+//     previous check — O(Δ) per check instead of the O(n) a from-scratch
+//     evaluator pays — and reads the violation state straight off the
+//     maintained group counts: an exact X→Y breaks exactly when a new
+//     tuple lands in an existing X-group under a new XY-key, which is the
+//     one event that moves |π_XY| without |π_X|. Deletions fold in at the
+//     same cost class (per-group live refcounts); removing the last witness
+//     of a violating XY-pair is the violated→exact transition the recovery
+//     event reports. A compaction resets the evaluator; the monitor
+//     detects it (Relation::compactions()) and re-materializes every
+//     monitored grouping so subsequent checks stay O(Δ).
+//
+//   * **sampled** (`capacity`/`seed` constructors) — measures are
+//     *estimated* from a deterministic reservoir sample
+//     (query::ReservoirSampler) under a fixed memory budget, with an error
+//     interval per estimate (fd/sampled_estimate.h). A sampled monitor
+//     flags "violated" only on *certain* evidence — a sampled witness pair
+//     (two sampled rows agreeing on X, differing on Y) — so it never raises
+//     a false drift alarm, only possibly a late one; recovery is reported
+//     when no sampled witness remains. The estimate sequence is a pure
+//     function of (seed, statement order): the sampler consumes a fixed
+//     number of draws per offered row, and checkpoints carry its full
+//     state. When the reservoir covers every row ever offered, estimation
+//     collapses to the exact arithmetic and the monitor is bit-identical to
+//     an exact one fed the same stream, checkpoint bytes included.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fd/repair_search.h"
+#include "fd/sampled_estimate.h"
 #include "query/distinct.h"
+#include "query/reservoir.h"
 #include "relation/relation.h"
 
 namespace fdevolve::fd {
@@ -70,8 +86,8 @@ struct DriftEvent {
   /// bracket the true confidence/goodness (see fd/sampled_estimate.h).
   /// Exact monitors — and sampled monitors whose reservoir covered every
   /// live row — leave all five fields at their defaults, so an exact
-  /// event serializes identically whichever monitor emitted it (the
-  /// sample_rate=1.0 bit-identity gate depends on this).
+  /// event serializes identically whichever measure source emitted it
+  /// (the sample_rate=1.0 bit-identity gate depends on this).
   bool approx = false;
   double confidence_lo = 1.0;
   double confidence_hi = 1.0;
@@ -107,6 +123,12 @@ struct MonitorCheckpoint {
   /// reproduce the exact check sequence. Checkpoint() leaves it 0; the
   /// driver (e.g. the CLI) fills it in before serializing.
   size_t stream_batch_hint = 0;
+
+  /// Sampler state of a sampled monitor (slots + raw generator state, so
+  /// a resumed monitor replays the identical remaining estimate
+  /// sequence); absent for an exact monitor. Persisted as FDEV kind 5
+  /// when present, kind 3 otherwise.
+  std::optional<query::ReservoirState> reservoir;
 };
 
 /// A MonitorCheckpoint minus the relation — the resumable state of a
@@ -124,6 +146,8 @@ struct MonitorState {
   /// watermark differs — the state would be paired with rows it never
   /// observed (or rows it observed would be missing).
   size_t watermark = 0;
+  /// Sampler state of a sampled monitor; absent for an exact one.
+  std::optional<query::ReservoirState> reservoir;
 };
 
 /// Periodic validation loop.
@@ -133,49 +157,60 @@ struct MonitorState {
 ///     Insert()/InsertBatch() (the CLI's streaming loop);
 ///   * **external** — the monitor observes a relation owned by someone
 ///     else (the server's shared catalog: the SQL engine appends, many
-///     monitors watch). The caller appends through its own path and calls
-///     Poll() afterwards; the monitor folds the appended suffix in and
-///     runs a check when the interval elapses. The relation must outlive
-///     the monitor, stay append-only, and be quiescent during every
-///     monitor call (the server holds the table's write lock for both the
-///     append and the Poll).
+///     monitors watch). The caller mutates through its own path and calls
+///     Poll() afterwards; the monitor folds the mutations in and runs a
+///     check when the interval elapses. The relation must outlive the
+///     monitor and be quiescent during every monitor call (the server
+///     holds the table's write lock for both the mutation and the Poll).
 ///
-/// Not copyable or movable: the long-lived evaluator holds a reference to
-/// the relation.
+/// Both modes take either measure source (see the file comment); cadence,
+/// counters and interval arithmetic are the same for both.
+///
+/// Not copyable or movable: the evaluator and the sampler hold a
+/// reference to the relation.
 class SchemaMonitor {
  public:
-  /// `check_interval`: re-validate after this many inserts (>=1).
-  /// `threads`: execution width for the evaluator's refinement passes
-  /// (0 = hardware_concurrency, 1 = exact sequential path); results are
-  /// identical for every value.
+  /// Exact, owning. `check_interval`: re-validate after this many
+  /// inserts (>=1). `threads`: execution width for the evaluator's
+  /// refinement passes (0 = hardware_concurrency, 1 = exact sequential
+  /// path); results are identical for every value.
   SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
                 size_t check_interval = 1, int threads = 0);
 
-  /// External mode: monitors `*shared` without owning it (see class
+  /// Exact, external: monitors `*shared` without owning it (see class
   /// comment). Measures are computed at the relation's current watermark.
   SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
                 size_t check_interval = 1, int threads = 0);
 
-  /// External-mode restore: rebinds a captured MonitorState to `*shared`
-  /// and re-materializes the evaluator groupings, recovering the exact
-  /// monitor the state was taken from (same bit-identity argument as the
-  /// checkpoint constructor below). Throws std::invalid_argument if the
-  /// relation's watermark differs from the state's, if an FD references
-  /// attributes outside the schema, or if the carried measures disagree
-  /// with recomputation while comparable (inserts_since_check == 0).
+  /// Sampled, owning. `capacity` is the reservoir slot budget (>= 1);
+  /// `seed` drives every sampling decision.
+  SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
+                size_t check_interval, size_t capacity, uint64_t seed);
+
+  /// Sampled, external.
+  SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
+                size_t check_interval, size_t capacity, uint64_t seed);
+
+  /// External-mode restore: rebinds a captured MonitorState to `*shared`,
+  /// recovering the exact monitor the state was taken from — sampled iff
+  /// the state carries a reservoir. Exact groupings are re-materialized
+  /// from the relation (every grouping is a bit-identical function of it:
+  /// ids are dense first-appearance ids, append-stable under Advance);
+  /// the sampler is restored verbatim. Throws std::invalid_argument if the
+  /// relation's watermark (or, sampled, compaction count) differs from the
+  /// state's, if an FD references attributes outside the schema, or if
+  /// the carried measures disagree with recomputation while comparable
+  /// (inserts_since_check == 0 — the stored measures then date from
+  /// exactly the current watermark, so a mismatch means a corrupt or
+  /// mismatched state).
   SchemaMonitor(relation::Relation* shared, MonitorState state,
                 int threads = 0);
 
-  /// Resumes from a checkpoint: restores the relation, registered FDs,
-  /// drift log, and interval position verbatim, and re-materializes the
-  /// evaluator groupings from the relation. The resumed monitor emits the
-  /// exact check sequence the checkpointed one would have — measures,
-  /// drift events, and counters are bit-identical from here on.
-  ///
-  /// Throws std::invalid_argument if an FD references attributes outside
-  /// the schema, or if the checkpointed measures disagree with the ones
-  /// recomputed from the relation when they are comparable (no unchecked
-  /// inserts pending — see MonitorCheckpoint).
+  /// Owning-mode restore from a checkpoint (same rules): restores the
+  /// relation, registered FDs, drift log, interval position and sampler
+  /// verbatim. The resumed monitor emits the exact check sequence the
+  /// checkpointed one would have — measures, drift events, and counters
+  /// are bit-identical from here on.
   explicit SchemaMonitor(MonitorCheckpoint checkpoint, int threads = 0);
 
   SchemaMonitor(const SchemaMonitor&) = delete;
@@ -192,9 +227,21 @@ class SchemaMonitor {
   const std::vector<MonitoredFd>& fds() const { return monitored_; }
   const std::vector<DriftEvent>& drift_log() const { return drift_log_; }
 
+  /// Latest per-FD measures with their intervals (parallel to fds();
+  /// refreshed at every check and at registration). Exact monitors report
+  /// degenerate intervals and approx == false.
+  const std::vector<SampledMeasures>& estimates() const { return estimates_; }
+
   /// Optional callback invoked on each new drift event.
   void OnDrift(std::function<void(const DriftEvent&)> cb) {
     on_drift_ = std::move(cb);
+  }
+
+  /// Invoked once per monitored FD per check with the fresh estimate —
+  /// the estimate *sequence* the determinism and resume suites assert on.
+  void OnEstimate(
+      std::function<void(size_t fd_index, const SampledMeasures&)> cb) {
+    on_estimate_ = std::move(cb);
   }
 
   /// Ingests one tuple; runs a check when the interval elapses.
@@ -211,21 +258,24 @@ class SchemaMonitor {
   /// count crosses the interval — the same cadence InsertBatch gives a
   /// batch of that size. Counts through Relation::appends_ever() /
   /// deletes_ever(), so a compaction (which shrinks version()) cannot make
-  /// the interval arithmetic underflow; a compaction also triggers
-  /// re-materialization of the monitored groupings. A no-op when nothing
-  /// changed.
+  /// the interval arithmetic underflow. A sampled monitor also folds the
+  /// physical delta into its reservoir on every call, so Poll must be
+  /// called at the same statement boundaries on a replay as on the
+  /// original run (the server calls it after every mutation statement)
+  /// for the sampler's draw sequence to reproduce.
   void Poll();
 
   /// Registers an additional FD on the live monitor (the server's DECLARE
-  /// FD path): materializes its groupings and computes its measures at the
-  /// current watermark. Throws std::invalid_argument if the FD references
-  /// attributes outside the schema. Returns its index in fds().
+  /// FD path) and measures it at the current watermark. Throws
+  /// std::invalid_argument if the FD references attributes outside the
+  /// schema. Returns its index in fds().
   size_t AddFd(Fd fd);
 
-  /// Forces a validation pass; returns indices of currently violated FDs.
-  /// Cost is O(mutations since the previous check) — the pass advances
-  /// the maintained groupings, folds pending deletions, and reads the
-  /// live-group counters. Emits a kViolated event per exact→violated
+  /// Forces a validation pass; returns indices of currently violated FDs
+  /// (sampled: FDs with a sampled witness, i.e. certainly violated).
+  /// Exact cost is O(mutations since the previous check) — the pass
+  /// advances the maintained groupings, folds pending deletions, and reads
+  /// the live-group counters. Emits a kViolated event per exact→violated
   /// transition and a kRecovered event per violated→exact transition.
   std::vector<size_t> CheckNow();
 
@@ -235,9 +285,9 @@ class SchemaMonitor {
   std::vector<RepairResult> SuggestRepairs(const RepairOptions& opts = {});
 
   /// Designer accepts a repair: the declared FD is replaced by the repaired
-  /// one and its drift state resets. The repaired FD's groupings are
-  /// materialized in the shared evaluator so subsequent checks stay O(Δ).
-  /// Throws std::out_of_range on bad index.
+  /// one and its drift state resets. Exact monitors materialize the
+  /// repaired FD's groupings so subsequent checks stay O(Δ). Throws
+  /// std::out_of_range on bad index.
   ///
   /// The superseded FD's groupings stay in the evaluator cache and keep
   /// being maintained — they cannot be evicted, because the repaired FD's
@@ -251,42 +301,72 @@ class SchemaMonitor {
   /// Number of validation passes run so far (instrumentation).
   size_t checks_run() const { return checks_run_; }
 
+  size_t check_interval() const { return check_interval_; }
+
   /// Resolved execution width of the underlying evaluator.
   int threads() const { return eval_.threads(); }
 
+  /// True when measures are estimated from a reservoir sample.
+  bool sampled() const { return sampler_ != nullptr; }
+  /// Reservoir slot budget and seed (0 for an exact monitor).
+  size_t sample_capacity() const { return sampler_ ? sampler_->capacity() : 0; }
+  uint64_t sample_seed() const { return sampler_ ? sampler_->seed() : 0; }
+
  private:
-  /// Materializes the FD's antecedent and full-attribute groupings in the
-  /// shared evaluator so Advance() maintains them from here on.
-  void Track(const Fd& fd);
+  /// Shared initialization of every public constructor: binds the relation
+  /// (`owned` when non-null, else `shared`) and the cadence counters.
+  SchemaMonitor(std::unique_ptr<relation::Relation> owned,
+                relation::Relation* shared, size_t check_interval,
+                int threads);
+
+  /// The sampler's state, absent for an exact monitor.
+  std::optional<query::ReservoirState> ReservoirState() const;
 
   /// Shared registration path of the fresh constructors.
   void RegisterFds(std::vector<Fd> fds);
 
-  /// Shared validation/re-tracking path of the restore constructors:
-  /// adopts the monitored FDs + drift log, re-materializes groupings, and
-  /// cross-checks carried measures when comparable.
-  void RestoreMonitored(std::vector<MonitoredFd> fds,
-                        std::vector<DriftEvent> drift_log);
+  /// Shared validation/re-registration path of the restore constructors:
+  /// adopts the monitored FDs + drift log (and the sampler, when
+  /// `reservoir` is present), and cross-checks carried measures when
+  /// comparable.
+  void Restore(std::vector<MonitoredFd> fds, std::vector<DriftEvent> drift_log,
+               const std::optional<query::ReservoirState>& reservoir);
 
-  /// Re-materializes every monitored grouping after an observed
-  /// compaction (the evaluator dropped its caches); no-op otherwise.
-  void ResyncAfterCompaction();
+  // --- The mode-dependent steps; everything else is written once.
+
+  /// Measures one FD: exact counts off the evaluator (wrapped with
+  /// degenerate intervals), or an estimate from `sample`.
+  SampledMeasures Measure(const Fd& fd, const std::vector<uint32_t>& sample);
+  /// Live reservoir members to estimate from (empty when exact).
+  std::vector<uint32_t> LiveSample() const;
+  /// Folds what happened to the relation into the measure source: exact
+  /// re-materializes the monitored groupings after an observed compaction
+  /// (the evaluator dropped its caches); sampled syncs the reservoir.
+  void Observe();
+  /// Exact: materializes the FD's antecedent and full-attribute groupings
+  /// so Advance() maintains them from here on. Sampled: nothing.
+  void Register(const Fd& fd);
+
+  /// Adds `delta` mutations toward the next check and runs it when due.
+  void Count(size_t delta);
 
   /// Appends a drift event to the log and fires the callback.
-  void PushEvent(size_t fd_index, DriftKind kind, const FdMeasures& measures);
+  void PushEvent(size_t fd_index, DriftKind kind, const SampledMeasures& est);
 
   std::unique_ptr<relation::Relation> owned_;  ///< null in external mode
   relation::Relation* rel_;                    ///< owned_ or the shared one
-  query::DistinctEvaluator eval_;  ///< long-lived; advanced, never rebuilt
+  query::DistinctEvaluator eval_;  ///< exact source; advanced, never rebuilt
+  std::unique_ptr<query::ReservoirSampler> sampler_;  ///< null = exact
   std::vector<MonitoredFd> monitored_;
+  std::vector<SampledMeasures> estimates_;
   std::vector<DriftEvent> drift_log_;
   std::function<void(const DriftEvent&)> on_drift_;
+  std::function<void(size_t, const SampledMeasures&)> on_estimate_;
   size_t check_interval_;
   size_t inserts_since_check_ = 0;  ///< mutations accumulated toward a check
   size_t checks_run_ = 0;
-  size_t observed_version_ = 0;  ///< physical watermark last observed
   /// appends_ever() + deletes_ever() last observed — the cadence counter
-  /// (monotone across compactions, unlike observed_version_).
+  /// (monotone across compactions, unlike version()).
   size_t observed_mutations_ = 0;
   size_t observed_compactions_ = 0;  ///< compactions() last observed
 };

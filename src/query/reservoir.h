@@ -1,6 +1,6 @@
 // Deterministic, seed-driven reservoir sample over an evolving relation.
 //
-// The sampled monitoring mode (fd::SampledSchemaMonitor) needs a fixed
+// fd::SchemaMonitor's sampled measure source needs a fixed
 // memory budget regardless of stream length: a uniform sample of the live
 // rows, maintained under INSERT/DELETE/UPDATE through the same
 // version()/mutation_epoch()/compactions() contract the incremental

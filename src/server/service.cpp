@@ -27,20 +27,18 @@ bool Service::Resume(std::string* error) {
   }
   sql::Database db;
   std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
   if (!storage::LoadServerSnapshot(opts_.checkpoint_path, &db, &monitors,
-                                   error, &sampled)) {
+                                   error)) {
     return false;
   }
   db_ = std::move(db);
   tables_.clear();
-  BuildEntries(monitors, sampled);
+  BuildEntries(monitors);
   return true;
 }
 
 void Service::BuildEntries(
-    const std::vector<storage::ServerMonitorState>& monitors,
-    const std::vector<storage::ServerSampledMonitorState>& sampled) {
+    const std::vector<storage::ServerMonitorState>& monitors) {
   for (const auto& name : db_.TableNames()) {
     auto entry = std::make_unique<TableEntry>();
     entry->rel = &db_.GetMutable(name);
@@ -48,19 +46,12 @@ void Service::BuildEntries(
   }
   for (const auto& m : monitors) {
     TableEntry* entry = tables_.at(m.table).get();
+    auto& monitor = m.state.reservoir ? entry->sampled : entry->monitor;
     // threads=1: session threads provide the concurrency; a nested
     // evaluator pool per table would oversubscribe the machine.
-    entry->check_interval = m.state.check_interval;
-    entry->monitor = std::make_unique<fd::SchemaMonitor>(
-        entry->rel, m.state, /*threads=*/1);
-    InstallDriftCallback(entry, m.table);
-  }
-  for (const auto& m : sampled) {
-    TableEntry* entry = tables_.at(m.table).get();
-    entry->sampled_interval = m.state.base.check_interval;
-    entry->sampled = std::make_unique<fd::SampledSchemaMonitor>(
-        entry->rel, m.state);
-    InstallSampledDriftCallback(entry, m.table);
+    monitor = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state,
+                                                  /*threads=*/1);
+    InstallDriftCallback(entry, monitor.get(), m.table);
   }
 }
 
@@ -131,25 +122,20 @@ void Service::MaybeCompact(TableEntry* entry) {
   }
 }
 
+void Service::PollMonitors(TableEntry* entry) {
+  if (entry->monitor) entry->monitor->Poll();
+  if (entry->sampled) entry->sampled->Poll();
+}
+
 void Service::InstallDriftCallback(TableEntry* entry,
+                                   fd::SchemaMonitor* monitor,
                                    const std::string& table) {
   // Invoked by the monitor during Poll(), i.e. under the table's
   // exclusive lock — the subscriber list is stable for the duration and
-  // pushes happen in commit order.
-  entry->monitor->OnDrift([entry, table](const fd::DriftEvent& ev) {
-    const fd::MonitoredFd& mfd = entry->monitor->fds()[ev.fd_index];
-    std::string line = FormatDrift(
-        table, ev, mfd.fd.ToString(entry->rel->schema()));
-    for (const auto& sub : entry->subscribers) sub->Push(line);
-  });
-}
-
-void Service::InstallSampledDriftCallback(TableEntry* entry,
-                                          const std::string& table) {
-  // Same critical section as the exact monitor's callback; FormatDrift
-  // adds the approx + interval fields for approximate events.
-  entry->sampled->OnDrift([entry, table](const fd::DriftEvent& ev) {
-    const fd::MonitoredFd& mfd = entry->sampled->fds()[ev.fd_index];
+  // pushes happen in commit order. FormatDrift adds the approx + interval
+  // fields for approximate (sampled) events.
+  monitor->OnDrift([entry, monitor, table](const fd::DriftEvent& ev) {
+    const fd::MonitoredFd& mfd = monitor->fds()[ev.fd_index];
     std::string line = FormatDrift(
         table, ev, mfd.fd.ToString(entry->rel->schema()));
     for (const auto& sub : entry->subscribers) sub->Push(line);
@@ -192,11 +178,10 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       std::unique_lock table(entry->mutex);
       uint64_t n = sql::Execute(*ins, db_);
       if (opts_.record_journal) entry->journal.push_back(ins->ToString());
-      // Same critical section as the append: the monitor observes the
+      // Same critical section as the append: the monitors observe the
       // quiescent post-append relation and drift pushes follow commit
       // order (see class comment).
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -207,8 +192,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       uint64_t n = sql::Execute(*del, db_);
       if (opts_.record_journal) entry->journal.push_back(del->ToString());
       MaybeCompact(entry);
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -219,8 +203,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       uint64_t n = sql::Execute(*upd, db_);
       if (opts_.record_journal) entry->journal.push_back(upd->ToString());
       MaybeCompact(entry);
-      if (entry->monitor) entry->monitor->Poll();
-      if (entry->sampled) entry->sampled->Poll();
+      PollMonitors(entry);
       res.reply = FormatOk(n);
       return res;
     }
@@ -241,63 +224,39 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
       // Resolve throws on unknown columns; the Fd constructor rejects
       // overlapping sides — both before any state changes.
       fd::Fd fd(schema.Resolve(declare->lhs), schema.Resolve(declare->rhs));
-      if (declare->sample_size != 0) {
-        // SAMPLE k [SEED s] routes the FD to the table's sampled monitor
-        // (one reservoir per table — interval, capacity, and seed must
-        // agree across every sampled DECLARE on it).
-        if (!entry->sampled) {
-          size_t interval = declare->check_interval != 0
-                                ? declare->check_interval
-                                : opts_.default_check_interval;
-          entry->sampled = std::make_unique<fd::SampledSchemaMonitor>(
-              entry->rel, std::vector<fd::Fd>{}, interval,
-              declare->sample_size, declare->sample_seed);
-          entry->sampled_interval = interval;
-          InstallSampledDriftCallback(entry, declare->table);
-        } else {
-          if (declare->check_interval != 0 &&
-              declare->check_interval != entry->sampled_interval) {
-            throw std::invalid_argument(
-                "sampled monitor on '" + declare->table +
-                "' already checks EVERY " +
-                std::to_string(entry->sampled_interval) +
-                "; one interval per table");
-          }
-          if (declare->sample_size != entry->sampled->sample_capacity() ||
-              declare->sample_seed != entry->sampled->sample_seed()) {
-            throw std::invalid_argument(
-                "sampled monitor on '" + declare->table +
-                "' already uses SAMPLE " +
-                std::to_string(entry->sampled->sample_capacity()) + " SEED " +
-                std::to_string(entry->sampled->sample_seed()) +
-                "; one reservoir per table");
-          }
-        }
-        db_.DeclareFd(declare->table, fd);
-        entry->sampled->AddFd(std::move(fd));
-        if (opts_.record_journal) {
-          entry->journal.push_back(declare->ToString());
-        }
-        res.reply = FormatOk(0);
-        return res;
-      }
-      if (!entry->monitor) {
-        size_t interval = declare->check_interval != 0
-                              ? declare->check_interval
-                              : opts_.default_check_interval;
-        entry->monitor = std::make_unique<fd::SchemaMonitor>(
-            entry->rel, std::vector<fd::Fd>{}, interval, /*threads=*/1);
-        entry->check_interval = interval;
-        InstallDriftCallback(entry, declare->table);
+      // SAMPLE k [SEED s] routes the FD to the table's sampled monitor.
+      const bool sampled = declare->sample_size != 0;
+      std::unique_ptr<fd::SchemaMonitor>& monitor =
+          sampled ? entry->sampled : entry->monitor;
+      const std::string what = sampled ? "sampled monitor" : "monitor";
+      if (!monitor) {
+        const size_t interval = declare->check_interval != 0
+                                    ? declare->check_interval
+                                    : opts_.default_check_interval;
+        monitor = sampled ? std::make_unique<fd::SchemaMonitor>(
+                                entry->rel, std::vector<fd::Fd>{}, interval,
+                                declare->sample_size, declare->sample_seed)
+                          : std::make_unique<fd::SchemaMonitor>(
+                                entry->rel, std::vector<fd::Fd>{}, interval,
+                                /*threads=*/1);
+        InstallDriftCallback(entry, monitor.get(), declare->table);
       } else if (declare->check_interval != 0 &&
-                 declare->check_interval != entry->check_interval) {
+                 declare->check_interval != monitor->check_interval()) {
         throw std::invalid_argument(
-            "monitor on '" + declare->table + "' already checks EVERY " +
-            std::to_string(entry->check_interval) +
+            what + " on '" + declare->table + "' already checks EVERY " +
+            std::to_string(monitor->check_interval()) +
             "; one interval per table");
+      } else if (sampled &&
+                 (declare->sample_size != monitor->sample_capacity() ||
+                  declare->sample_seed != monitor->sample_seed())) {
+        throw std::invalid_argument(
+            what + " on '" + declare->table + "' already uses SAMPLE " +
+            std::to_string(monitor->sample_capacity()) + " SEED " +
+            std::to_string(monitor->sample_seed()) +
+            "; one reservoir per table");
       }
       db_.DeclareFd(declare->table, fd);
-      entry->monitor->AddFd(std::move(fd));
+      monitor->AddFd(std::move(fd));
       if (opts_.record_journal) entry->journal.push_back(declare->ToString());
       res.reply = FormatOk(0);
       return res;
@@ -339,25 +298,22 @@ bool Service::SaveCheckpoint(std::string* error) {
   // The exclusive catalog lock quiesces every session (all data paths
   // hold it shared), so the snapshot is a consistent cut.
   std::unique_lock cat(catalog_mutex_);
-  std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
-  for (const auto& [name, entry] : tables_) {
-    if (entry->monitor) monitors.push_back({name, entry->monitor->State()});
-    if (entry->sampled) sampled.push_back({name, entry->sampled->State()});
-  }
-  return storage::SaveServerSnapshot(db_, monitors, opts_.checkpoint_path,
-                                     error, sampled);
+  return storage::SaveServerSnapshot(db_, MonitorStates(),
+                                     opts_.checkpoint_path, error);
 }
 
 std::string Service::SerializeState() const {
   std::unique_lock cat(catalog_mutex_);
-  std::vector<storage::ServerMonitorState> monitors;
-  std::vector<storage::ServerSampledMonitorState> sampled;
+  return storage::SerializeServerState(db_, MonitorStates());
+}
+
+std::vector<storage::ServerMonitorState> Service::MonitorStates() const {
+  std::vector<storage::ServerMonitorState> states;
   for (const auto& [name, entry] : tables_) {
-    if (entry->monitor) monitors.push_back({name, entry->monitor->State()});
-    if (entry->sampled) sampled.push_back({name, entry->sampled->State()});
+    if (entry->monitor) states.push_back({name, entry->monitor->State()});
+    if (entry->sampled) states.push_back({name, entry->sampled->State()});
   }
-  return storage::SerializeServerState(db_, monitors, sampled);
+  return states;
 }
 
 std::vector<std::string> Service::Journal(const std::string& table) const {
@@ -376,33 +332,37 @@ std::vector<std::string> Service::TableNames() const {
   return names;
 }
 
-std::vector<fd::DriftEvent> Service::DriftLog(const std::string& table) const {
+template <typename Read>
+auto Service::ReadMonitor(const std::string& table, bool sampled,
+                          Read read) const {
+  decltype(read(std::declval<const fd::SchemaMonitor&>())) out{};
   std::shared_lock cat(catalog_mutex_);
   auto it = tables_.find(table);
-  if (it == tables_.end()) return {};
+  if (it == tables_.end()) return out;
   std::shared_lock tl(it->second->mutex);
-  if (!it->second->monitor) return {};
-  return it->second->monitor->drift_log();
+  const auto& monitor = sampled ? it->second->sampled : it->second->monitor;
+  if (monitor) out = read(*monitor);
+  return out;
+}
+
+std::vector<fd::DriftEvent> Service::DriftLog(const std::string& table) const {
+  return ReadMonitor(table, false, [](const fd::SchemaMonitor& m) {
+    return m.drift_log();
+  });
 }
 
 std::vector<fd::DriftEvent> Service::SampledDriftLog(
     const std::string& table) const {
-  std::shared_lock cat(catalog_mutex_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return {};
-  std::shared_lock tl(it->second->mutex);
-  if (!it->second->sampled) return {};
-  return it->second->sampled->drift_log();
+  return ReadMonitor(table, true, [](const fd::SchemaMonitor& m) {
+    return m.drift_log();
+  });
 }
 
 std::vector<fd::SampledMeasures> Service::SampledEstimates(
     const std::string& table) const {
-  std::shared_lock cat(catalog_mutex_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return {};
-  std::shared_lock tl(it->second->mutex);
-  if (!it->second->sampled) return {};
-  return it->second->sampled->estimates();
+  return ReadMonitor(table, true, [](const fd::SchemaMonitor& m) {
+    return m.estimates();
+  });
 }
 
 }  // namespace fdevolve::server

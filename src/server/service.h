@@ -21,9 +21,10 @@
 //   lock alone, which every data path acquires shared).
 //
 // Monitors run in external mode (fd::SchemaMonitor's shared-relation
-// constructors): each write path mutates through the SQL engine and then
-// calls Poll() under the same exclusive table lock, so the monitor always
-// observes a quiescent relation. Drift events (violated AND recovered)
+// constructors), at most two per table: an exact one and a sampled one
+// (DECLARE FD ... SAMPLE k). Each write path mutates through the SQL engine
+// and then polls both under the same exclusive table lock, so the monitors
+// always observe a quiescent relation. Drift events (violated AND recovered)
 // are pushed to subscribed sessions from inside that critical section —
 // ordering is therefore exactly commit order per table.
 //
@@ -50,7 +51,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "sql/database.h"
 #include "storage/snapshot.h"
@@ -120,12 +120,13 @@ class Service {
 
   std::vector<std::string> TableNames() const;
 
-  /// Drift log of a table's monitor (empty if no monitor).
+  /// Drift log of a table's exact monitor (empty if no monitor).
   std::vector<fd::DriftEvent> DriftLog(const std::string& table) const;
 
   /// Drift log of a table's *sampled* monitor (empty if none). Sampled
   /// events carry approx=true + intervals unless the reservoir covered
-  /// every live row at the transition.
+  /// every live row at the transition. The frozen benchmark (perfbench/)
+  /// names this accessor too.
   std::vector<fd::DriftEvent> SampledDriftLog(const std::string& table) const;
 
   /// Latest per-FD estimates of a table's sampled monitor (empty if
@@ -145,14 +146,11 @@ class Service {
   struct TableEntry {
     relation::Relation* rel = nullptr;  ///< stable pointer into db_
     mutable std::shared_mutex mutex;
-    std::unique_ptr<fd::SchemaMonitor> monitor;  ///< external mode; may be null
-    size_t check_interval = 0;  ///< the monitor's EVERY (0 = no monitor)
-    /// Sampled monitor (DECLARE FD ... SAMPLE k [SEED s]); external mode,
-    /// polled right after the exact monitor under the same exclusive
-    /// table lock. One reservoir per table: every sampled DECLARE must
-    /// agree on interval, capacity, and seed.
-    std::unique_ptr<fd::SampledSchemaMonitor> sampled;
-    size_t sampled_interval = 0;
+    /// External-mode monitors; either may be null. `sampled` serves
+    /// DECLARE FD ... SAMPLE k [SEED s] — one reservoir per table, so every
+    /// sampled DECLARE must agree on interval, capacity, and seed.
+    std::unique_ptr<fd::SchemaMonitor> monitor;
+    std::unique_ptr<fd::SchemaMonitor> sampled;
     std::vector<std::shared_ptr<SessionRec>> subscribers;
     std::vector<std::string> journal;
   };
@@ -172,18 +170,29 @@ class Service {
   /// thrashing tiny tables where a rebuild outcosts the scan it saves).
   static constexpr size_t kCompactMinRows = 64;
 
-  /// Wires the monitor's drift callback to push to subscribers. Runs
-  /// under the table's exclusive lock (Poll is only called there).
-  void InstallDriftCallback(TableEntry* entry, const std::string& table);
-  void InstallSampledDriftCallback(TableEntry* entry,
+  /// Polls the table's monitors after a committed mutation, under the
+  /// same exclusive table lock (see class comment).
+  static void PollMonitors(TableEntry* entry);
+
+  /// Wires one of the entry's monitors' drift callback to push to
+  /// subscribers. Runs under the table's exclusive lock (Poll is only
+  /// called there).
+  static void InstallDriftCallback(TableEntry* entry,
+                                   fd::SchemaMonitor* monitor,
                                    const std::string& table);
 
-  /// Builds entries (and monitors, when `monitors`/`sampled` has state
-  /// for them) for every table in db_. Caller holds the exclusive
+  /// Builds entries (and monitors, when `monitors` has state for them)
+  /// for every table in db_. Caller holds the exclusive catalog lock.
+  void BuildEntries(const std::vector<storage::ServerMonitorState>& monitors);
+
+  /// Every monitor's state, in table order. Caller holds the exclusive
   /// catalog lock.
-  void BuildEntries(
-      const std::vector<storage::ServerMonitorState>& monitors,
-      const std::vector<storage::ServerSampledMonitorState>& sampled);
+  std::vector<storage::ServerMonitorState> MonitorStates() const;
+
+  /// `read` applied to a table's exact or sampled monitor under the
+  /// shared locks; a default result when the table or monitor is absent.
+  template <typename Read>
+  auto ReadMonitor(const std::string& table, bool sampled, Read read) const;
 
   std::shared_ptr<SessionRec> FindSession(SessionId id);
 

@@ -1,6 +1,9 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -349,56 +352,10 @@ void ReadFdsAndDrift(BinaryReader& r, uint32_t version,
   }
 }
 
-void WriteCheckpointPayload(BinaryWriter& w,
-                            const fd::MonitorCheckpoint& ckpt) {
-  WriteRelationPayload(w, ckpt.rel);
-  w.U64(ckpt.check_interval);
-  w.U64(ckpt.inserts_since_check);
-  w.U64(ckpt.checks_run);
-  w.U64(ckpt.stream_batch_hint);
-  WriteFdsAndDrift(w, ckpt.fds, ckpt.drift_log);
-}
-
-fd::MonitorCheckpoint ReadCheckpointPayload(BinaryReader& r,
-                                            uint32_t version) {
-  relation::Relation rel = ReadRelationPayload(r, version);
-  uint64_t check_interval = r.U64();
-  uint64_t inserts_since_check = r.U64();
-  uint64_t checks_run = r.U64();
-  uint64_t stream_batch_hint = r.U64();
-  std::vector<fd::MonitoredFd> fds;
-  std::vector<fd::DriftEvent> drift;
-  ReadFdsAndDrift(r, version, &fds, &drift);
-  return fd::MonitorCheckpoint{std::move(rel),
-                               std::move(fds),
-                               std::move(drift),
-                               static_cast<size_t>(check_interval),
-                               static_cast<size_t>(inserts_since_check),
-                               static_cast<size_t>(checks_run),
-                               static_cast<size_t>(stream_batch_hint)};
-}
-
-void WriteMonitorStatePayload(BinaryWriter& w, const fd::MonitorState& s) {
-  w.U64(s.check_interval);
-  w.U64(s.inserts_since_check);
-  w.U64(s.checks_run);
-  w.U64(s.watermark);
-  WriteFdsAndDrift(w, s.fds, s.drift_log);
-}
-
-fd::MonitorState ReadMonitorStatePayload(BinaryReader& r, uint32_t version) {
-  fd::MonitorState s;
-  s.check_interval = static_cast<size_t>(r.U64());
-  s.inserts_since_check = static_cast<size_t>(r.U64());
-  s.checks_run = static_cast<size_t>(r.U64());
-  s.watermark = static_cast<size_t>(r.U64());
-  ReadFdsAndDrift(r, version, &s.fds, &s.drift_log);
-  return s;
-}
-
-// Reservoir state (v3) — the sampler's full replay state. Structural
-// validation against the paired relation happens in ReservoirSampler's
-// restore constructor; here only self-consistency is checked.
+// Reservoir state (v3) — the sampler's full replay state, written after
+// the rest of a sampled monitor's payload. Structural validation against
+// the paired relation happens in ReservoirSampler's restore constructor;
+// here only self-consistency is checked.
 
 void WriteReservoirState(BinaryWriter& w, const query::ReservoirState& s) {
   w.U64(s.capacity);
@@ -430,30 +387,60 @@ query::ReservoirState ReadReservoirState(BinaryReader& r) {
   return s;
 }
 
-void WriteSampledCheckpointPayload(BinaryWriter& w,
-                                   const fd::SampledMonitorCheckpoint& ckpt) {
-  WriteCheckpointPayload(w, ckpt.base);
-  WriteReservoirState(w, ckpt.reservoir);
+// A kind-5 checkpoint and a sampled-section state carry a reservoir; the
+// reader knows from the kind / section whether to expect one.
+
+void WriteCheckpointPayload(BinaryWriter& w,
+                            const fd::MonitorCheckpoint& ckpt) {
+  WriteRelationPayload(w, ckpt.rel);
+  w.U64(ckpt.check_interval);
+  w.U64(ckpt.inserts_since_check);
+  w.U64(ckpt.checks_run);
+  w.U64(ckpt.stream_batch_hint);
+  WriteFdsAndDrift(w, ckpt.fds, ckpt.drift_log);
+  if (ckpt.reservoir) WriteReservoirState(w, *ckpt.reservoir);
 }
 
-fd::SampledMonitorCheckpoint ReadSampledCheckpointPayload(BinaryReader& r,
-                                                          uint32_t version) {
-  fd::MonitorCheckpoint base = ReadCheckpointPayload(r, version);
-  query::ReservoirState reservoir = ReadReservoirState(r);
-  return fd::SampledMonitorCheckpoint{std::move(base), std::move(reservoir)};
+fd::MonitorCheckpoint ReadCheckpointPayload(BinaryReader& r, uint32_t version,
+                                            bool with_reservoir) {
+  relation::Relation rel = ReadRelationPayload(r, version);
+  uint64_t check_interval = r.U64();
+  uint64_t inserts_since_check = r.U64();
+  uint64_t checks_run = r.U64();
+  uint64_t stream_batch_hint = r.U64();
+  std::vector<fd::MonitoredFd> fds;
+  std::vector<fd::DriftEvent> drift;
+  ReadFdsAndDrift(r, version, &fds, &drift);
+  std::optional<query::ReservoirState> reservoir;
+  if (with_reservoir) reservoir = ReadReservoirState(r);
+  return fd::MonitorCheckpoint{std::move(rel),
+                               std::move(fds),
+                               std::move(drift),
+                               static_cast<size_t>(check_interval),
+                               static_cast<size_t>(inserts_since_check),
+                               static_cast<size_t>(checks_run),
+                               static_cast<size_t>(stream_batch_hint),
+                               std::move(reservoir)};
 }
 
-void WriteSampledMonitorStatePayload(BinaryWriter& w,
-                                     const fd::SampledMonitorState& s) {
-  WriteMonitorStatePayload(w, s.base);
-  WriteReservoirState(w, s.reservoir);
+void WriteMonitorStatePayload(BinaryWriter& w, const fd::MonitorState& s) {
+  w.U64(s.check_interval);
+  w.U64(s.inserts_since_check);
+  w.U64(s.checks_run);
+  w.U64(s.watermark);
+  WriteFdsAndDrift(w, s.fds, s.drift_log);
+  if (s.reservoir) WriteReservoirState(w, *s.reservoir);
 }
 
-fd::SampledMonitorState ReadSampledMonitorStatePayload(BinaryReader& r,
-                                                       uint32_t version) {
-  fd::SampledMonitorState s;
-  s.base = ReadMonitorStatePayload(r, version);
-  s.reservoir = ReadReservoirState(r);
+fd::MonitorState ReadMonitorStatePayload(BinaryReader& r, uint32_t version,
+                                         bool with_reservoir) {
+  fd::MonitorState s;
+  s.check_interval = static_cast<size_t>(r.U64());
+  s.inserts_since_check = static_cast<size_t>(r.U64());
+  s.checks_run = static_cast<size_t>(r.U64());
+  s.watermark = static_cast<size_t>(r.U64());
+  ReadFdsAndDrift(r, version, &s.fds, &s.drift_log);
+  if (with_reservoir) s.reservoir = ReadReservoirState(r);
   return s;
 }
 
@@ -501,15 +488,21 @@ BinaryWriter OpenWriter(uint32_t kind) {
   return w;
 }
 
-/// Verifies the envelope, fills `*version_out` with the file's format
-/// version (payload readers branch on it), and returns the payload range
-/// — or fills `error`. `not_snapshot` (optional) is set when the input
-/// lacks the magic entirely — the structured "try another format" signal.
-std::optional<std::string_view> OpenEnvelope(std::string_view bytes,
-                                             uint32_t expected_kind,
-                                             uint32_t* version_out,
-                                             std::string* error,
-                                             bool* not_snapshot = nullptr) {
+/// A verified envelope: the file's format version (payload readers branch
+/// on it), its payload kind, and the payload range.
+struct Envelope {
+  uint32_t version = 0;
+  uint32_t kind = 0;
+  std::string_view payload;
+};
+
+/// Verifies the envelope, requiring one of `kinds` — or fills `error`.
+/// `not_snapshot` (optional) is set when the input lacks the magic
+/// entirely — the structured "try another format" signal.
+std::optional<Envelope> OpenEnvelope(std::string_view bytes,
+                                     std::initializer_list<uint32_t> kinds,
+                                     std::string* error,
+                                     bool* not_snapshot = nullptr) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
     if (error) *error = "not an FDEV snapshot (file too small)";
     if (not_snapshot) *not_snapshot = true;
@@ -533,26 +526,27 @@ std::optional<std::string_view> OpenEnvelope(std::string_view bytes,
     return std::nullopt;
   }
   BinaryReader header(bytes.substr(4));
-  const uint32_t version = header.U32();
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  Envelope env;
+  env.version = header.U32();
+  if (env.version < kMinFormatVersion || env.version > kFormatVersion) {
     if (error) {
-      *error = "unsupported snapshot version " + std::to_string(version) +
+      *error = "unsupported snapshot version " + std::to_string(env.version) +
                " (this build reads " + std::to_string(kMinFormatVersion) +
                ".." + std::to_string(kFormatVersion) + ")";
     }
     return std::nullopt;
   }
-  *version_out = version;
-  const uint32_t kind = header.U32();
-  if (kind != expected_kind) {
+  env.kind = header.U32();
+  if (std::find(kinds.begin(), kinds.end(), env.kind) == kinds.end()) {
     if (error) {
       *error = std::string("snapshot kind mismatch: expected ") +
-               KindName(expected_kind) + ", found " + KindName(kind);
+               KindName(*kinds.begin()) + ", found " + KindName(env.kind);
     }
     return std::nullopt;
   }
-  return bytes.substr(kHeaderSize,
-                      bytes.size() - kHeaderSize - kTrailerSize);
+  env.payload =
+      bytes.substr(kHeaderSize, bytes.size() - kHeaderSize - kTrailerSize);
+  return env;
 }
 
 // --- File helpers.
@@ -605,13 +599,12 @@ std::string SerializeRelation(const relation::Relation& rel) {
 
 RelationSnapshotResult DeserializeRelation(std::string_view bytes) {
   RelationSnapshotResult result;
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindRelation, &version, &result.error,
-                              &result.not_a_snapshot);
-  if (!payload) return result;
+  auto env = OpenEnvelope(bytes, {kKindRelation}, &result.error,
+                          &result.not_a_snapshot);
+  if (!env) return result;
   try {
-    BinaryReader r(*payload);
-    relation::Relation rel = ReadRelationPayload(r, version);
+    BinaryReader r(env->payload);
+    relation::Relation rel = ReadRelationPayload(r, env->version);
     if (!r.AtEnd()) {
       result.error = "trailing bytes after relation payload";
       return result;
@@ -631,12 +624,11 @@ std::string SerializeDatabase(const sql::Database& db) {
 
 bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
                          std::string* error) {
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindDatabase, &version, error);
-  if (!payload) return false;
+  auto env = OpenEnvelope(bytes, {kKindDatabase}, error);
+  if (!env) return false;
   try {
-    BinaryReader r(*payload);
-    ReadDatabasePayload(r, version, db);
+    BinaryReader r(env->payload);
+    ReadDatabasePayload(r, env->version, db);
     if (!r.AtEnd()) {
       if (error) *error = "trailing bytes after database payload";
       return false;
@@ -649,78 +641,72 @@ bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
 }
 
 std::string SerializeServerState(
-    const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
-    const std::vector<ServerSampledMonitorState>& sampled) {
+    const sql::Database& db, const std::vector<ServerMonitorState>& monitors) {
   BinaryWriter w = OpenWriter(kKindServer);
   WriteDatabasePayload(w, db);
-  w.U32(static_cast<uint32_t>(monitors.size()));
-  for (const auto& m : monitors) {
-    w.Str(m.table);
-    WriteMonitorStatePayload(w, m.state);
-  }
-  // v3 sampled-monitor section (one u32 of overhead when empty).
-  w.U32(static_cast<uint32_t>(sampled.size()));
-  for (const auto& m : sampled) {
-    w.Str(m.table);
-    WriteSampledMonitorStatePayload(w, m.state);
+  // The exact section, then the v3 sampled section (one u32 of overhead
+  // when empty): a state's reservoir selects its section.
+  for (const bool sampled : {false, true}) {
+    const auto in_section = [sampled](const ServerMonitorState& m) {
+      return m.state.reservoir.has_value() == sampled;
+    };
+    w.U32(static_cast<uint32_t>(
+        std::count_if(monitors.begin(), monitors.end(), in_section)));
+    for (const auto& m : monitors) {
+      if (!in_section(m)) continue;
+      w.Str(m.table);
+      WriteMonitorStatePayload(w, m.state);
+    }
   }
   return Seal(std::move(w));
 }
 
+std::string SerializeServerState(
+    const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
+    const std::vector<ServerMonitorState>& sampled) {
+  std::vector<ServerMonitorState> all = monitors;
+  all.insert(all.end(), sampled.begin(), sampled.end());
+  return SerializeServerState(db, all);
+}
+
 bool DeserializeServerState(std::string_view bytes, sql::Database* db,
                             std::vector<ServerMonitorState>* monitors,
-                            std::string* error,
-                            std::vector<ServerSampledMonitorState>* sampled) {
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindServer, &version, error);
-  if (!payload) return false;
+                            std::string* error) {
+  auto env = OpenEnvelope(bytes, {kKindServer}, error);
+  if (!env) return false;
   try {
-    BinaryReader r(*payload);
-    ReadDatabasePayload(r, version, db);
-    uint32_t monitor_count = r.U32();
-    for (uint32_t i = 0; i < monitor_count; ++i) {
-      ServerMonitorState m;
-      m.table = r.Str();
-      m.state = ReadMonitorStatePayload(r, version);
-      if (!db->Has(m.table)) {
-        throw util::BinaryIoError("monitor state references unknown table '" +
-                                  m.table + "'");
-      }
-      // The restore constructor re-checks this too, but failing at load
-      // time pins the blame on the file rather than on server wiring.
-      if (m.state.watermark != db->Get(m.table).version()) {
-        throw util::BinaryIoError(
-            "monitor state for '" + m.table + "' captured at watermark " +
-            std::to_string(m.state.watermark) + " but the table holds " +
-            std::to_string(db->Get(m.table).version()) + " tuples");
-      }
-      monitors->push_back(std::move(m));
-    }
-    if (version >= 3) {
-      uint32_t sampled_count = r.U32();
-      if (sampled_count > 0 && sampled == nullptr) {
-        throw util::BinaryIoError(
-            "snapshot carries sampled monitors but the caller cannot "
-            "restore them");
-      }
-      for (uint32_t i = 0; i < sampled_count; ++i) {
-        ServerSampledMonitorState m;
+    BinaryReader r(env->payload);
+    ReadDatabasePayload(r, env->version, db);
+    // v1/v2 files end after the exact section.
+    for (const bool sampled : {false, true}) {
+      if (sampled && env->version < 3) break;
+      const std::string what =
+          sampled ? "sampled monitor state" : "monitor state";
+      std::set<std::string> tables;
+      const uint32_t count = r.U32();
+      for (uint32_t i = 0; i < count; ++i) {
+        ServerMonitorState m;
         m.table = r.Str();
-        m.state = ReadSampledMonitorStatePayload(r, version);
+        m.state = ReadMonitorStatePayload(r, env->version, sampled);
         if (!db->Has(m.table)) {
-          throw util::BinaryIoError(
-              "sampled monitor state references unknown table '" + m.table +
-              "'");
+          throw util::BinaryIoError(what + " references unknown table '" +
+                                    m.table + "'");
         }
-        if (m.state.base.watermark != db->Get(m.table).version()) {
+        // A table has one monitor per section: a second state would
+        // silently replace the first on restore.
+        if (!tables.insert(m.table).second) {
+          throw util::BinaryIoError("duplicate " + what + " for table '" +
+                                    m.table + "'");
+        }
+        // The restore constructor re-checks this too, but failing at load
+        // time pins the blame on the file rather than on server wiring.
+        if (m.state.watermark != db->Get(m.table).version()) {
           throw util::BinaryIoError(
-              "sampled monitor state for '" + m.table +
-              "' captured at watermark " +
-              std::to_string(m.state.base.watermark) +
-              " but the table holds " +
+              what + " for '" + m.table + "' captured at watermark " +
+              std::to_string(m.state.watermark) + " but the table holds " +
               std::to_string(db->Get(m.table).version()) + " tuples");
         }
-        sampled->push_back(std::move(m));
+        monitors->push_back(std::move(m));
       }
     }
     if (!r.AtEnd()) {
@@ -736,48 +722,45 @@ bool DeserializeServerState(std::string_view bytes, sql::Database* db,
   return true;
 }
 
+bool DeserializeServerState(std::string_view bytes, sql::Database* db,
+                            std::vector<ServerMonitorState>* monitors,
+                            std::string* error,
+                            std::vector<ServerMonitorState>* sampled) {
+  std::vector<ServerMonitorState> all;
+  if (!DeserializeServerState(bytes, db, &all, error)) return false;
+  for (auto& m : all) {
+    if (!m.state.reservoir) {
+      monitors->push_back(std::move(m));
+    } else if (sampled != nullptr) {
+      sampled->push_back(std::move(m));
+    } else {
+      if (error) {
+        *error =
+            "snapshot carries sampled monitors but the caller cannot "
+            "restore them";
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string SerializeCheckpoint(const fd::MonitorCheckpoint& ckpt) {
-  BinaryWriter w = OpenWriter(kKindMonitor);
+  BinaryWriter w =
+      OpenWriter(ckpt.reservoir ? kKindSampledMonitor : kKindMonitor);
   WriteCheckpointPayload(w, ckpt);
   return Seal(std::move(w));
 }
 
-std::string SerializeSampledCheckpoint(
-    const fd::SampledMonitorCheckpoint& ckpt) {
-  BinaryWriter w = OpenWriter(kKindSampledMonitor);
-  WriteSampledCheckpointPayload(w, ckpt);
-  return Seal(std::move(w));
-}
-
-SampledCheckpointResult DeserializeSampledCheckpoint(std::string_view bytes) {
-  SampledCheckpointResult result;
-  uint32_t version = 0;
-  auto payload =
-      OpenEnvelope(bytes, kKindSampledMonitor, &version, &result.error);
-  if (!payload) return result;
-  try {
-    BinaryReader r(*payload);
-    fd::SampledMonitorCheckpoint ckpt = ReadSampledCheckpointPayload(r, version);
-    if (!r.AtEnd()) {
-      result.error = "trailing bytes after sampled checkpoint payload";
-      return result;
-    }
-    result.checkpoint.emplace(std::move(ckpt));
-  } catch (const std::exception& e) {
-    result.error = std::string("corrupt sampled monitor checkpoint: ") +
-                   e.what();
-  }
-  return result;
-}
-
 CheckpointResult DeserializeCheckpoint(std::string_view bytes) {
   CheckpointResult result;
-  uint32_t version = 0;
-  auto payload = OpenEnvelope(bytes, kKindMonitor, &version, &result.error);
-  if (!payload) return result;
+  auto env =
+      OpenEnvelope(bytes, {kKindMonitor, kKindSampledMonitor}, &result.error);
+  if (!env) return result;
   try {
-    BinaryReader r(*payload);
-    fd::MonitorCheckpoint ckpt = ReadCheckpointPayload(r, version);
+    BinaryReader r(env->payload);
+    fd::MonitorCheckpoint ckpt = ReadCheckpointPayload(
+        r, env->version, env->kind == kKindSampledMonitor);
     if (!r.AtEnd()) {
       result.error = "trailing bytes after checkpoint payload";
       return result;
@@ -813,12 +796,6 @@ bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
   return DeserializeDatabase(*bytes, db, error);
 }
 
-bool SaveMonitorCheckpoint(const fd::SchemaMonitor& monitor,
-                           const std::string& path, std::string* error) {
-  return WriteFileBytes(SerializeCheckpoint(monitor.Checkpoint()), path,
-                        error);
-}
-
 bool SaveMonitorCheckpoint(const fd::MonitorCheckpoint& ckpt,
                            const std::string& path, std::string* error) {
   return WriteFileBytes(SerializeCheckpoint(ckpt), path, error);
@@ -831,33 +808,18 @@ CheckpointResult LoadMonitorCheckpoint(const std::string& path) {
   return DeserializeCheckpoint(*bytes);
 }
 
-bool SaveSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error) {
-  return WriteFileBytes(SerializeSampledCheckpoint(ckpt), path, error);
-}
-
-SampledCheckpointResult LoadSampledCheckpoint(const std::string& path) {
-  SampledCheckpointResult result;
-  auto bytes = ReadFileBytes(path, &result.error);
-  if (!bytes) return result;
-  return DeserializeSampledCheckpoint(*bytes);
-}
-
 bool SaveServerSnapshot(const sql::Database& db,
                         const std::vector<ServerMonitorState>& monitors,
-                        const std::string& path, std::string* error,
-                        const std::vector<ServerSampledMonitorState>& sampled) {
-  return WriteFileBytes(SerializeServerState(db, monitors, sampled), path,
-                        error);
+                        const std::string& path, std::string* error) {
+  return WriteFileBytes(SerializeServerState(db, monitors), path, error);
 }
 
 bool LoadServerSnapshot(const std::string& path, sql::Database* db,
                         std::vector<ServerMonitorState>* monitors,
-                        std::string* error,
-                        std::vector<ServerSampledMonitorState>* sampled) {
+                        std::string* error) {
   auto bytes = ReadFileBytes(path, error);
   if (!bytes) return false;
-  return DeserializeServerState(*bytes, db, monitors, error, sampled);
+  return DeserializeServerState(*bytes, db, monitors, error);
 }
 
 }  // namespace fdevolve::storage

@@ -1,25 +1,27 @@
-// FDEV1 — versioned binary columnar snapshots.
+// FDEV — versioned binary columnar snapshots.
 //
 // CSV persistence re-parses and re-dictionary-encodes the whole stream on
 // every restart; snapshots instead serialize the *encoded* layer directly
 // (per-column dictionary + dense codes + row watermark, no per-cell Value
 // boxing), in the spirit of DuckDB's persisted column segments and
-// Hyrise's binary table export. Four payload kinds share one envelope:
+// Hyrise's binary table export. Five payload kinds share one envelope:
 //
 //   * Relation          — one dictionary-encoded relation;
 //   * Database catalog  — named relations + declared FDs;
-//   * Monitor checkpoint — a SchemaMonitor's complete resumable state
-//     (relation, registered FDs, accepted repairs, per-FD maintained
-//     counters, drift log, interval position), so a monitoring process can
-//     stop and resume mid-stream without replaying it;
+//   * Monitor checkpoint — an fd::MonitorCheckpoint, a SchemaMonitor's
+//     complete resumable state (relation, registered FDs, per-FD
+//     measures, drift log, interval position), so a monitoring process
+//     can stop and resume mid-stream without replaying it. One type
+//     serves both measure sources: a checkpoint without a reservoir is
+//     written as kind 3, one with a reservoir (slots and raw generator
+//     state, so a resumed sampled monitor replays the identical remaining
+//     estimate sequence) as kind 5 — the kind-3 payload followed by the
+//     reservoir. The reader accepts either kind;
 //   * Server state      — a server::Service's durable state: the whole
-//     catalog plus one relation-free MonitorState per monitored table
-//     (the relations live in the catalog section; embedding a copy per
-//     monitor would double the file);
-//   * Sampled monitor checkpoint — a SampledSchemaMonitor's resumable
-//     state: the monitor-checkpoint payload plus its reservoir (slots and
-//     raw generator state), so a resumed sampled monitor replays the
-//     identical remaining estimate sequence.
+//     catalog plus one relation-free fd::MonitorState per monitor (the
+//     relations live in the catalog section; embedding a copy per monitor
+//     would double the file). Exact states and sampled states are written
+//     to separate sections, each at most one state per table.
 //
 // File layout (all integers little-endian, see util/binary_io.h):
 //
@@ -28,7 +30,8 @@
 //             payload kind u32       (1 = relation, 2 = database,
 //                                     3 = monitor checkpoint,
 //                                     4 = server state,
-//                                     5 = sampled monitor checkpoint)
+//                                     5 = monitor checkpoint with a
+//                                         reservoir)
 //             payload bytes
 //   trailer:  FNV-1a u64 over everything before the trailer
 //
@@ -46,21 +49,21 @@
 //        fd::DriftEvent — all-default for exact events), the server-state
 //        payload ends with a sampled-monitor section (count + per-entry
 //        table name, monitor state, reservoir state; empty when no
-//        sampled monitors exist), and the new kind 5 serializes a
-//        standalone sampled monitor checkpoint. v1/v2 files load with
-//        exact-event defaults and an empty sampled section — exactly what
-//        their writers could express.
+//        sampled monitors exist), and kind 5 serializes a standalone
+//        checkpoint with a reservoir. v1/v2 files load with exact-event
+//        defaults and an empty sampled section — exactly what their
+//        writers could express.
 //
 // Integrity policy: loads verify size, magic, version, kind, and checksum
 // before parsing, then parse with bounds-checked reads and validate every
 // structural invariant (code ranges, null counts, dictionary uniqueness,
-// deletion-log bounds, schema/FD consistency, measure agreement). A
-// truncated or bit-flipped file fails with a clean error — never a crash,
-// never a silently wrong object. Version policy: the u32 after the magic
-// is bumped on any layout change; readers accept every version they know
-// how to parse (currently 1 and 2) and reject the rest (no silent
-// best-effort parsing of future formats). Writers always emit the
-// current version.
+// deletion-log bounds, schema/FD consistency, one monitor state per table
+// and section, measure agreement). A truncated or bit-flipped file fails
+// with a clean error — never a crash, never a silently wrong object.
+// Version policy: the u32 after the magic is bumped on any layout change;
+// readers accept every version they know how to parse (currently 1
+// through 3) and reject the rest (no silent best-effort parsing of future
+// formats). Writers always emit the current version.
 //
 // Bit-identity contract: a loaded snapshot reproduces the encoded state
 // exactly — same dictionary order, same codes, same watermark, same
@@ -75,7 +78,6 @@
 #include <string_view>
 #include <vector>
 
-#include "fd/sampled_monitor.h"
 #include "fd/schema_monitor.h"
 #include "relation/relation.h"
 #include "sql/database.h"
@@ -101,7 +103,8 @@ struct RelationSnapshotResult {
   bool ok() const { return relation.has_value(); }
 };
 
-/// Result of loading a monitor checkpoint.
+/// Result of loading a monitor checkpoint (kind 3, or kind 5 — then
+/// `checkpoint->reservoir` is set).
 struct CheckpointResult {
   std::optional<fd::MonitorCheckpoint> checkpoint;
   std::string error;
@@ -109,27 +112,16 @@ struct CheckpointResult {
   bool ok() const { return checkpoint.has_value(); }
 };
 
-/// Result of loading a sampled monitor checkpoint (kind 5).
-struct SampledCheckpointResult {
-  std::optional<fd::SampledMonitorCheckpoint> checkpoint;
-  std::string error;
-
-  bool ok() const { return checkpoint.has_value(); }
-};
-
-/// One monitored table's relation-free monitor state, keyed by table name
-/// into the catalog persisted alongside it (see the server-state kind).
+/// One monitor's relation-free state, keyed by table name into the catalog
+/// persisted alongside it (see the server-state kind). A state with a
+/// reservoir belongs to the table's sampled monitor.
 struct ServerMonitorState {
   std::string table;
   fd::MonitorState state;
 };
 
-/// Sampled counterpart: one table's sampled monitor state (monitor state
-/// + reservoir), persisted in the server payload's v3 sampled section.
-struct ServerSampledMonitorState {
-  std::string table;
-  fd::SampledMonitorState state;
-};
+/// Kept because the frozen benchmark (perfbench/) names it.
+using ServerSampledMonitorState = ServerMonitorState;
 
 // --- Buffer-level API (the file functions are thin wrappers; tests use
 // --- these to corrupt bytes in memory).
@@ -137,34 +129,45 @@ struct ServerSampledMonitorState {
 /// Serializes to a complete snapshot byte string (envelope + checksum).
 std::string SerializeRelation(const relation::Relation& rel);
 std::string SerializeDatabase(const sql::Database& db);
+/// Kind 5 when `ckpt.reservoir` is set, kind 3 otherwise.
 std::string SerializeCheckpoint(const fd::MonitorCheckpoint& ckpt);
-std::string SerializeSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt);
 
+/// States without a reservoir go to the exact section, states with one to
+/// the sampled section, each in the given order.
+std::string SerializeServerState(
+    const sql::Database& db, const std::vector<ServerMonitorState>& monitors);
+/// Kept because the frozen benchmark (perfbench/) names this form: the
+/// same as serializing `monitors` followed by `sampled`.
 std::string SerializeServerState(
     const sql::Database& db, const std::vector<ServerMonitorState>& monitors,
-    const std::vector<ServerSampledMonitorState>& sampled = {});
+    const std::vector<ServerMonitorState>& sampled);
 
 /// Parses a complete snapshot byte string of the matching kind.
 RelationSnapshotResult DeserializeRelation(std::string_view bytes);
 bool DeserializeDatabase(std::string_view bytes, sql::Database* db,
                          std::string* error);
+/// Accepts kind 3 and kind 5 (see CheckpointResult).
 CheckpointResult DeserializeCheckpoint(std::string_view bytes);
-SampledCheckpointResult DeserializeSampledCheckpoint(std::string_view bytes);
 
-/// Adds the snapshot's catalog into `db` (normally empty) and fills
-/// `monitors` (and, when non-null, `sampled`) with the per-table monitor
-/// states. Structural validation: every monitor state must reference a
-/// table present in the snapshot and its watermark must equal that
-/// table's tuple count (the pairing guarantee SchemaMonitor's restore
-/// constructor relies on); sampled states additionally carry their
-/// reservoir, validated on restore by ReservoirSampler. A v3 file with a
-/// sampled section fails the load when `sampled` is null rather than
-/// silently dropping monitors. On failure `*db` may hold a partial load.
+/// Adds the snapshot's catalog into `db` (normally empty) and appends the
+/// per-table monitor states to `monitors`: the exact section, then the
+/// sampled section (whose states carry their reservoir, validated on
+/// restore by ReservoirSampler). Structural validation: every monitor
+/// state must reference a table present in the snapshot, at most one per
+/// table and section, and its watermark must equal that table's tuple
+/// count (the pairing guarantee SchemaMonitor's restore constructor
+/// relies on). On failure `*db` may hold a partial load.
+bool DeserializeServerState(std::string_view bytes, sql::Database* db,
+                            std::vector<ServerMonitorState>* monitors,
+                            std::string* error);
+/// Kept because the frozen benchmark (perfbench/) names this form: the
+/// sampled section goes to `sampled` instead, and a file with a sampled
+/// section fails the load when `sampled` is null rather than silently
+/// dropping monitors.
 bool DeserializeServerState(std::string_view bytes, sql::Database* db,
                             std::vector<ServerMonitorState>* monitors,
                             std::string* error,
-                            std::vector<ServerSampledMonitorState>* sampled =
-                                nullptr);
+                            std::vector<ServerMonitorState>* sampled);
 
 // --- File-level API. Writers flush before reporting success so
 // --- flush-time I/O errors (e.g. disk full) are not swallowed.
@@ -181,29 +184,17 @@ bool SaveDatabaseSnapshot(const sql::Database& db, const std::string& path,
 bool LoadDatabaseSnapshot(const std::string& path, sql::Database* db,
                           std::string* error);
 
-/// Checkpoints a monitor (calls SchemaMonitor::Checkpoint()).
-bool SaveMonitorCheckpoint(const fd::SchemaMonitor& monitor,
-                           const std::string& path, std::string* error);
-/// Saves an explicit checkpoint — for drivers that annotate it (e.g. the
-/// CLI filling MonitorCheckpoint::stream_batch_hint) before persisting.
+/// Persists a checkpoint (drivers may annotate it first, e.g. the CLI
+/// filling MonitorCheckpoint::stream_batch_hint).
 bool SaveMonitorCheckpoint(const fd::MonitorCheckpoint& ckpt,
                            const std::string& path, std::string* error);
 CheckpointResult LoadMonitorCheckpoint(const std::string& path);
 
-/// Sampled-monitor counterparts (kind 5).
-bool SaveSampledCheckpoint(const fd::SampledMonitorCheckpoint& ckpt,
-                           const std::string& path, std::string* error);
-SampledCheckpointResult LoadSampledCheckpoint(const std::string& path);
-
 bool SaveServerSnapshot(const sql::Database& db,
                         const std::vector<ServerMonitorState>& monitors,
-                        const std::string& path, std::string* error,
-                        const std::vector<ServerSampledMonitorState>& sampled =
-                            {});
+                        const std::string& path, std::string* error);
 bool LoadServerSnapshot(const std::string& path, sql::Database* db,
                         std::vector<ServerMonitorState>* monitors,
-                        std::string* error,
-                        std::vector<ServerSampledMonitorState>* sampled =
-                            nullptr);
+                        std::string* error);
 
 }  // namespace fdevolve::storage

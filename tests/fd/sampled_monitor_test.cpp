@@ -178,7 +178,7 @@ TEST(SampledMonitorTest, CheckpointResumeReplaysIdenticalEstimateSequence) {
                          /*capacity=*/6, /*seed=*/99);
   for (int i = 0; i < 50; ++i) a.Insert(Row(i % 7, i % 13));
 
-  SampledMonitorCheckpoint ckpt = a.Checkpoint();
+  MonitorCheckpoint ckpt = a.Checkpoint();
   SampledSchemaMonitor b(std::move(ckpt));
 
   EstimateLog la, lb;
@@ -205,7 +205,7 @@ TEST(SampledMonitorTest, ExternalStateRestoreCrossChecksMeasures) {
     rel.AppendRow(Row(i % 4, i % 9));
     mon.Poll();
   }
-  SampledMonitorState state = mon.State();
+  MonitorState state = mon.State();
 
   // Clean restore reproduces the estimates.
   SampledSchemaMonitor restored(&rel, state);
@@ -216,9 +216,9 @@ TEST(SampledMonitorTest, ExternalStateRestoreCrossChecksMeasures) {
             mon.estimates()[0].confidence_lo);
 
   // Tampered carried measures fail the re-estimation cross-check.
-  SampledMonitorState tampered = mon.State();
-  ASSERT_FALSE(tampered.base.fds.empty());
-  tampered.base.fds[0].measures.distinct_x += 5;
+  MonitorState tampered = mon.State();
+  ASSERT_FALSE(tampered.fds.empty());
+  tampered.fds[0].measures.distinct_x += 5;
   EXPECT_THROW(SampledSchemaMonitor(&rel, tampered), std::invalid_argument);
 }
 

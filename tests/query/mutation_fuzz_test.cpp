@@ -311,14 +311,16 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
   }
   // Checkpoint bytes: the sampled monitor's base checkpoint serializes
   // to exactly the file an exact monitor would write.
-  const fd::SampledMonitorCheckpoint sckpt = sampled.Checkpoint();
+  const fd::MonitorCheckpoint sckpt = sampled.Checkpoint();
+  fd::MonitorCheckpoint base = sckpt;
+  base.reservoir.reset();
   EXPECT_EQ(storage::SerializeCheckpoint(exact.Checkpoint()),
-            storage::SerializeCheckpoint(sckpt.base));
+            storage::SerializeCheckpoint(base));
   // And the kind-5 envelope round-trips losslessly.
-  const std::string bytes = storage::SerializeSampledCheckpoint(sckpt);
-  auto loaded = storage::DeserializeSampledCheckpoint(bytes);
+  const std::string bytes = storage::SerializeCheckpoint(sckpt);
+  auto loaded = storage::DeserializeCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(storage::SerializeSampledCheckpoint(*loaded.checkpoint), bytes);
+  EXPECT_EQ(storage::SerializeCheckpoint(*loaded.checkpoint), bytes);
 }
 
 TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
@@ -339,8 +341,8 @@ TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
   }
   // Clone the world: relation via snapshot round-trip, monitor via the
   // kind-5 checkpoint (owning mode — it carries its own relation copy).
-  auto ckpt = storage::DeserializeSampledCheckpoint(
-      storage::SerializeSampledCheckpoint(live.Checkpoint()));
+  auto ckpt = storage::DeserializeCheckpoint(
+      storage::SerializeCheckpoint(live.Checkpoint()));
   ASSERT_TRUE(ckpt.ok()) << ckpt.error;
   fd::SampledSchemaMonitor resumed(std::move(*ckpt.checkpoint));
 

@@ -465,10 +465,10 @@ TEST(SnapshotTest, SampledCheckpointRoundTripIsByteStable) {
   std::optional<fd::SampledSchemaMonitor> mon_opt;
   EmplaceSampledFixture(mon_opt);
   fd::SampledSchemaMonitor& mon = *mon_opt;
-  const std::string bytes = SerializeSampledCheckpoint(mon.Checkpoint());
-  auto loaded = DeserializeSampledCheckpoint(bytes);
+  const std::string bytes = SerializeCheckpoint(mon.Checkpoint());
+  auto loaded = DeserializeCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(SerializeSampledCheckpoint(*loaded.checkpoint), bytes);
+  EXPECT_EQ(SerializeCheckpoint(*loaded.checkpoint), bytes);
 
   fd::SampledSchemaMonitor back(std::move(*loaded.checkpoint));
   EXPECT_EQ(back.checks_run(), mon.checks_run());
@@ -482,27 +482,39 @@ TEST(SnapshotTest, SampledCheckpointRoundTripIsByteStable) {
   EXPECT_EQ(back.fds()[0].violated, mon.fds()[0].violated);
 }
 
-TEST(SnapshotTest, SampledCheckpointRejectsExactKindAndViceVersa) {
+TEST(SnapshotTest, CheckpointKindSelectsReservoir) {
   std::optional<fd::SampledSchemaMonitor> mon_opt;
   EmplaceSampledFixture(mon_opt);
-  const std::string sampled_bytes =
-      SerializeSampledCheckpoint(mon_opt->Checkpoint());
-  // An exact checkpoint is not a sampled one (kind 4 vs kind 5)…
+  const std::string sampled_bytes = SerializeCheckpoint(mon_opt->Checkpoint());
   fd::SchemaMonitor exact(Relation("t", Schema({{"a", DataType::kInt64}})),
                           {}, 1);
-  EXPECT_FALSE(
-      DeserializeSampledCheckpoint(SerializeCheckpoint(exact.Checkpoint()))
-          .ok());
-  // …and a sampled one is not an exact one.
-  EXPECT_FALSE(DeserializeCheckpoint(sampled_bytes).ok());
+  const std::string exact_bytes = SerializeCheckpoint(exact.Checkpoint());
+  // Kind 3 loads without a reservoir…
+  EXPECT_EQ(exact_bytes[8], 3);
+  auto e = DeserializeCheckpoint(exact_bytes);
+  ASSERT_TRUE(e.ok()) << e.error;
+  EXPECT_FALSE(e.checkpoint->reservoir.has_value());
+  // …kind 5 loads with one…
+  EXPECT_EQ(sampled_bytes[8], 5);
+  auto s = DeserializeCheckpoint(sampled_bytes);
+  ASSERT_TRUE(s.ok()) << s.error;
+  ASSERT_TRUE(s.checkpoint->reservoir.has_value());
+  EXPECT_EQ(s.checkpoint->reservoir->seed, 17u);
+  // …and a server state (kind 4) is not a checkpoint.
+  sql::Database db;
+  db.AddRelation(Relation("t", Schema({{"a", DataType::kInt64}})));
+  auto server = DeserializeCheckpoint(SerializeServerState(db, {}));
+  EXPECT_FALSE(server.ok());
+  EXPECT_NE(server.error.find("kind mismatch"), std::string::npos)
+      << server.error;
 }
 
 TEST(SnapshotTest, SampledCheckpointTruncationFailsCleanly) {
   std::optional<fd::SampledSchemaMonitor> mon_opt;
   EmplaceSampledFixture(mon_opt);
-  const std::string bytes = SerializeSampledCheckpoint(mon_opt->Checkpoint());
+  const std::string bytes = SerializeCheckpoint(mon_opt->Checkpoint());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    auto r = DeserializeSampledCheckpoint(bytes.substr(0, len));
+    auto r = DeserializeCheckpoint(bytes.substr(0, len));
     EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix";
   }
 }
@@ -515,10 +527,9 @@ TEST(SnapshotTest, ApproxDriftEventSurvivesSampledCheckpoint) {
   const fd::DriftEvent& ev = mon.drift_log()[0];
   ASSERT_TRUE(ev.approx);  // partial coverage, witnessed violation
 
-  auto loaded =
-      DeserializeSampledCheckpoint(SerializeSampledCheckpoint(mon.Checkpoint()));
+  auto loaded = DeserializeCheckpoint(SerializeCheckpoint(mon.Checkpoint()));
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  const fd::DriftEvent& back = loaded.checkpoint->base.drift_log[0];
+  const fd::DriftEvent& back = loaded.checkpoint->drift_log[0];
   EXPECT_TRUE(back.approx);
   EXPECT_EQ(back.confidence_lo, ev.confidence_lo);
   EXPECT_EQ(back.confidence_hi, ev.confidence_hi);
@@ -554,9 +565,9 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
   EXPECT_TRUE(monitors.empty());
   ASSERT_EQ(sampled.size(), 1u);
   EXPECT_EQ(sampled[0].table, "t");
-  EXPECT_EQ(sampled[0].state.reservoir.seen, mon.State().reservoir.seen);
-  EXPECT_EQ(sampled[0].state.reservoir.rng_state,
-            mon.State().reservoir.rng_state);
+  EXPECT_EQ(sampled[0].state.reservoir->seen, mon.State().reservoir->seen);
+  EXPECT_EQ(sampled[0].state.reservoir->rng_state,
+            mon.State().reservoir->rng_state);
 
   // A caller that cannot receive the section must get a clean error, not
   // silently dropped monitors.
@@ -564,6 +575,160 @@ TEST(SnapshotTest, ServerStateCarriesSampledSection) {
   std::vector<ServerMonitorState> m2;
   EXPECT_FALSE(DeserializeServerState(bytes, &ignored, &m2, &err, nullptr));
   EXPECT_NE(err.find("sampled"), std::string::npos) << err;
+}
+
+/// A one-table catalog whose table has a monitor state in both the exact
+/// and the sampled section — legal, unlike two states in one section.
+Relation DuplicateFixture() {
+  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
+  return RelationBuilder("t", schema)
+      .Row({int64_t{1}, int64_t{10}})
+      .Row({int64_t{2}, int64_t{20}})
+      .Build();
+}
+
+TEST(SnapshotTest, DuplicateExactMonitorStatesAreRejected) {
+  sql::Database db;
+  db.AddRelation(DuplicateFixture());
+  fd::SchemaMonitor mon(&db.GetMutable("t"),
+                        {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))}, 1);
+  const fd::MonitorState s = mon.State();
+  const std::string bytes = SerializeServerState(db, {{"t", s}, {"t", s}});
+
+  sql::Database back;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  EXPECT_FALSE(DeserializeServerState(bytes, &back, &monitors, &err));
+  EXPECT_NE(err.find("duplicate monitor state for table 't'"),
+            std::string::npos)
+      << err;
+}
+
+TEST(SnapshotTest, DuplicateSampledMonitorStatesAreRejected) {
+  sql::Database db;
+  db.AddRelation(DuplicateFixture());
+  fd::SchemaMonitor mon(&db.GetMutable("t"),
+                        {fd::Fd(AttrSet::Of({0}), AttrSet::Of({1}))}, 1,
+                        /*capacity=*/4, /*seed=*/3);
+  const fd::MonitorState s = mon.State();
+  const std::string bytes = SerializeServerState(db, {{"t", s}, {"t", s}});
+
+  sql::Database back;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  EXPECT_FALSE(DeserializeServerState(bytes, &back, &monitors, &err));
+  EXPECT_NE(err.find("duplicate sampled monitor state for table 't'"),
+            std::string::npos)
+      << err;
+}
+
+// --- Pinned bytes. Each fixture below is deterministic; its FDEV v3 blob
+// --- was recorded (length and FNV-1a trailer) from the writer that
+// --- predates the single monitor class, so any change to the bytes of
+// --- kinds 3, 4 or 5 fails here.
+
+Schema PinSchema() {
+  return Schema({{"a", DataType::kInt64},
+                 {"b", DataType::kString},
+                 {"c", DataType::kDouble}});
+}
+
+/// a -> b holds for i < 12, then breaks; b -> c breaks at i == 20.
+std::vector<Value> PinRow(int64_t i) {
+  const int64_t a = i % 5;
+  std::string b = "k" + std::to_string(i < 12 ? a : a + i % 3);
+  const double c = i < 20 ? 0.5 * static_cast<double>(a)
+                          : 0.25 * static_cast<double>(i);
+  return {a, b, c};
+}
+
+const fd::Fd kPinAb(AttrSet::Of({0}), AttrSet::Of({1}));
+const fd::Fd kPinBc(AttrSet::Of({1}), AttrSet::Of({2}));
+
+/// Checks a blob against its pinned length and trailer, and that the
+/// stored trailer is the FNV-1a of everything before it.
+void ExpectPinned(const std::string& bytes, size_t length, uint64_t trailer) {
+  ASSERT_EQ(bytes.size(), length);
+  util::BinaryReader r(std::string_view(bytes).substr(bytes.size() - 8));
+  EXPECT_EQ(r.U64(), trailer);
+  EXPECT_EQ(util::Checksum64(bytes.data(), bytes.size() - 8), trailer);
+}
+
+TEST(SnapshotTest, PinnedExactCheckpointBytes) {
+  fd::SchemaMonitor mon(Relation("pin", PinSchema()), {kPinAb, kPinBc},
+                        /*check_interval=*/2, /*threads=*/1);
+  for (int64_t i = 0; i < 31; ++i) mon.Insert(PinRow(i));
+  fd::MonitorCheckpoint ckpt = mon.Checkpoint();
+  ckpt.stream_batch_hint = 3;
+  const std::string bytes = SerializeCheckpoint(ckpt);
+  EXPECT_EQ(bytes[8], 3);  // kind
+  ExpectPinned(bytes, 1159, 0x74f5e50d173bda59ULL);
+
+  auto loaded = DeserializeCheckpoint(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  EXPECT_FALSE(loaded.checkpoint->reservoir.has_value());
+  fd::SchemaMonitor back(std::move(*loaded.checkpoint), /*threads=*/1);
+  fd::MonitorCheckpoint again = back.Checkpoint();
+  again.stream_batch_hint = 3;
+  EXPECT_EQ(SerializeCheckpoint(again), bytes);
+}
+
+TEST(SnapshotTest, PinnedSampledCheckpointBytes) {
+  fd::SchemaMonitor mon(Relation("pin", PinSchema()), {kPinAb, kPinBc},
+                        /*check_interval=*/2, /*capacity=*/6, /*seed=*/17);
+  for (int64_t i = 0; i < 31; ++i) mon.Insert(PinRow(i));
+  bool approx = false;
+  for (const auto& ev : mon.drift_log()) approx |= ev.approx;
+  ASSERT_TRUE(approx) << "fixture must reach partial coverage";
+  fd::MonitorCheckpoint ckpt = mon.Checkpoint();
+  ckpt.stream_batch_hint = 2;
+  const std::string bytes = SerializeCheckpoint(ckpt);
+  EXPECT_EQ(bytes[8], 5);  // kind
+  ExpectPinned(bytes, 1421, 0x1db10507f5211515ULL);
+
+  auto loaded = DeserializeCheckpoint(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_TRUE(loaded.checkpoint->reservoir.has_value());
+  fd::SchemaMonitor back(std::move(*loaded.checkpoint));
+  fd::MonitorCheckpoint again = back.Checkpoint();
+  again.stream_batch_hint = 2;
+  EXPECT_EQ(SerializeCheckpoint(again), bytes);
+}
+
+TEST(SnapshotTest, PinnedServerStateBytes) {
+  sql::Database db;
+  db.AddRelation(Relation("pin", PinSchema()));
+  db.DeclareFd("pin", kPinAb);
+  db.DeclareFd("pin", kPinBc);
+  relation::Relation* rel = &db.GetMutable("pin");
+  fd::SchemaMonitor exact(rel, {kPinAb}, /*check_interval=*/3,
+                          /*threads=*/1);
+  fd::SchemaMonitor sampled(rel, {kPinBc}, /*check_interval=*/2,
+                            /*capacity=*/8, /*seed=*/5);
+  for (int64_t i = 0; i < 31; ++i) {
+    rel->AppendRow(PinRow(i));
+    if (i % 4 == 3) rel->DeleteRow(static_cast<size_t>(i - 2));
+    exact.Poll();
+    sampled.Poll();
+  }
+  const std::string bytes = SerializeServerState(
+      db, {{"pin", exact.State()}, {"pin", sampled.State()}});
+  EXPECT_EQ(bytes[8], 4);  // kind
+  ExpectPinned(bytes, 1605, 0xea66f7808b041e2aULL);
+
+  sql::Database back;
+  std::vector<ServerMonitorState> monitors;
+  std::string err;
+  ASSERT_TRUE(DeserializeServerState(bytes, &back, &monitors, &err)) << err;
+  ASSERT_EQ(monitors.size(), 2u);
+  EXPECT_FALSE(monitors[0].state.reservoir.has_value());
+  EXPECT_TRUE(monitors[1].state.reservoir.has_value());
+  fd::SchemaMonitor exact_back(&back.GetMutable("pin"), monitors[0].state,
+                               /*threads=*/1);
+  fd::SchemaMonitor sampled_back(&back.GetMutable("pin"), monitors[1].state);
+  EXPECT_EQ(SerializeServerState(back, {{"pin", exact_back.State()},
+                                        {"pin", sampled_back.State()}}),
+            bytes);
 }
 
 }  // namespace
