@@ -1,16 +1,15 @@
 // Kernel-tier microbench + the cross-tier identity gate.
 //
 // For every SIMD tier this host can run (baseline scalar is always there;
-// SSE4.2/AVX2/AVX-512 when detected), measures ns/tuple for the three
-// dispatched inner loops — dense gather refine, flat hash refine, group-id
-// remap — plus the fused-chain vs per-level-chain comparison that
-// motivates segment fusion.
+// AVX2/AVX-512 when detected), measures ns/tuple for the two dispatched
+// inner loops — dense gather refine and flat hash refine — plus the
+// fused-chain vs per-level-chain comparison that motivates segment fusion.
 //
-// The bench doubles as a correctness gate: every tier, at thread counts
-// 1/2/4 and over clean AND tombstoned relations, must produce bit-identical
-// group ids, group counts, and FD measure doubles to the baseline scalar
-// tier at threads=1. Any divergence makes the process exit non-zero, so CI
-// can run this (FDEVOLVE_BENCH_FAST=1) as a smoke step.
+// The bench doubles as a correctness gate: every tier, over clean AND
+// tombstoned relations, must produce bit-identical group ids, group
+// counts, and FD measure doubles to the baseline scalar tier. Any
+// divergence makes the process exit non-zero, so CI can run this
+// (FDEVOLVE_BENCH_FAST=1) as a smoke step.
 //
 // Results land in BENCH_kernels.json in the working directory; validate
 // with scripts/check_bench_json.py.
@@ -67,7 +66,6 @@ double BestMs(Fn fn) {
 struct TierNumbers {
   double dense_ns = 0.0;   ///< ns/tuple, dense gather refine
   double flat_ns = 0.0;    ///< ns/tuple, flat hash refine
-  double remap_ns = 0.0;   ///< ns/tuple, group-id remap rewrite
   double fused_ms = 0.0;   ///< 3-attr GroupBy, fused chain
 };
 
@@ -93,7 +91,7 @@ int main() {
   const auto flat_attrs = relation::AttrSet::Of({0, 1, 4, 5});
   const fd::Fd fd(relation::AttrSet::Of({0, 2}), relation::AttrSet::Of({3}));
 
-  // --- Baseline references (threads=1, scalar) for the identity gate. ---
+  // --- Baseline references (scalar) for the identity gate. ---
   query::kernels::ForceTier(util::CpuTier::kBaseline);
   const auto ref_group = query::GroupBy(rel, dense_attrs);
   const size_t ref_count = query::GroupCountBy(rel, dense_attrs);
@@ -105,18 +103,17 @@ int main() {
 
   const auto tiers = query::kernels::SupportedTiers();
   std::map<std::string, TierNumbers> results;
-  double baseline_dense = 0.0, baseline_flat = 0.0, baseline_remap = 0.0;
+  double baseline_dense = 0.0, baseline_flat = 0.0;
   double fused_ms_best_tier = 0.0, per_level_ms_best_tier = 0.0;
 
   util::TablePrinter table("kernel tiers (" + std::to_string(n) +
                            " tuples, ns/tuple, best of " +
                            std::to_string(kReps) + ")");
-  table.SetHeader({"tier", "dense", "flat", "remap", "fused 3-attr ms"});
+  table.SetHeader({"tier", "dense", "flat", "fused 3-attr ms"});
 
   for (util::CpuTier tier : tiers) {
     query::kernels::ForceTier(tier);
     const std::string name = util::CpuTierName(tier);
-    const auto& ks = query::kernels::Active();
     TierNumbers nums;
 
     // Dense gather refine: one-column refinement, radix |π0| * stride(3).
@@ -128,15 +125,6 @@ int main() {
     // limit, so the whole chain runs through FlatIdTable.
     nums.flat_ns =
         BestMs([&] { query::GroupCountBy(rel, flat_attrs, scratch); }) * 1e6 /
-        n;
-
-    // Remap rewrite: identity table over the 3-attr grouping's ids (the
-    // parallel merge's final pass). Identity keeps the buffer reusable.
-    std::vector<uint32_t> ids = ref_group.ids;
-    std::vector<uint32_t> identity(ref_group.group_count);
-    for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
-    nums.remap_ns =
-        BestMs([&] { ks.remap(ids.data(), 0, n, identity.data()); }) * 1e6 /
         n;
 
     // Fused chain (the engine's one-sweep segment) vs the per-level chain
@@ -152,40 +140,34 @@ int main() {
     if (tier == util::CpuTier::kBaseline) {
       baseline_dense = nums.dense_ns;
       baseline_flat = nums.flat_ns;
-      baseline_remap = nums.remap_ns;
     }
     // The last (= highest) tier's chain numbers headline the JSON.
     fused_ms_best_tier = nums.fused_ms;
     per_level_ms_best_tier = per_level_ms;
 
     table.AddRow({name, Fmt(nums.dense_ns), Fmt(nums.flat_ns),
-                  Fmt(nums.remap_ns), Fmt(nums.fused_ms)});
+                  Fmt(nums.fused_ms)});
     results[name] = nums;
 
-    // --- Identity gate: this tier, thread counts 1/2/4, vs baseline. ---
-    for (int threads : {1, 2, 4}) {
-      query::RefineScratch s;
-      s.threads = threads;
-      const std::string ctx =
-          name + " threads=" + std::to_string(threads) + ": ";
-      const auto g = query::GroupBy(rel, dense_attrs, s);
-      Gate(g.ids == ref_group.ids && g.group_count == ref_group.group_count,
-           ctx + "GroupBy ids/count");
-      Gate(query::GroupCountBy(rel, dense_attrs, s) == ref_count,
-           ctx + "GroupCountBy");
-      Gate(query::GroupCountBy(rel, flat_attrs, s) == ref_flat,
-           ctx + "GroupCountBy (flat)");
-      Gate(query::GroupCountBy(rel_del, dense_attrs, s) == ref_del,
-           ctx + "GroupCountBy (tombstoned)");
-      const auto r = query::RefineBy(rel, base0, 3, s);
-      Gate(r.ids == ref_refine.ids &&
-               r.group_count == ref_refine.group_count,
-           ctx + "RefineBy ids/count");
-      const auto m = fd::ComputeMeasures(rel, fd);
-      Gate(m.confidence == ref_measures.confidence &&
-               m.goodness == ref_measures.goodness,
-           ctx + "measure doubles");
-    }
+    // --- Identity gate: this tier vs baseline. ---
+    query::RefineScratch s;
+    const std::string ctx = name + ": ";
+    const auto g = query::GroupBy(rel, dense_attrs, s);
+    Gate(g.ids == ref_group.ids && g.group_count == ref_group.group_count,
+         ctx + "GroupBy ids/count");
+    Gate(query::GroupCountBy(rel, dense_attrs, s) == ref_count,
+         ctx + "GroupCountBy");
+    Gate(query::GroupCountBy(rel, flat_attrs, s) == ref_flat,
+         ctx + "GroupCountBy (flat)");
+    Gate(query::GroupCountBy(rel_del, dense_attrs, s) == ref_del,
+         ctx + "GroupCountBy (tombstoned)");
+    const auto r = query::RefineBy(rel, base0, 3, s);
+    Gate(r.ids == ref_refine.ids && r.group_count == ref_refine.group_count,
+         ctx + "RefineBy ids/count");
+    const auto m = fd::ComputeMeasures(rel, fd);
+    Gate(m.confidence == ref_measures.confidence &&
+             m.goodness == ref_measures.goodness,
+         ctx + "measure doubles");
   }
   query::kernels::ForceTier(query::kernels::DetectedTier());
 
@@ -203,14 +185,12 @@ int main() {
        << "  \"tiers_tested\": " << tiers.size() << ",\n"
        << "  \"baseline\": {\n"
        << "    \"dense_ns_per_tuple\": " << baseline_dense << ",\n"
-       << "    \"flat_ns_per_tuple\": " << baseline_flat << ",\n"
-       << "    \"remap_ns_per_tuple\": " << baseline_remap << "\n"
+       << "    \"flat_ns_per_tuple\": " << baseline_flat << "\n"
        << "  },\n"
        << "  \"best_tier\": {\n"
        << "    \"name\": \"" << best << "\",\n"
        << "    \"dense_ns_per_tuple\": " << top.dense_ns << ",\n"
        << "    \"flat_ns_per_tuple\": " << top.flat_ns << ",\n"
-       << "    \"remap_ns_per_tuple\": " << top.remap_ns << ",\n"
        << "    \"dense_speedup\": "
        << (top.dense_ns > 0 ? baseline_dense / top.dense_ns : 0.0) << ",\n"
        << "    \"flat_speedup\": "
@@ -232,7 +212,7 @@ int main() {
               << " cross-tier identity checks diverged from baseline\n";
     return 1;
   }
-  std::cout << "identity gate passed: every tier x thread count matches "
-               "baseline scalar bit-for-bit\n";
+  std::cout << "identity gate passed: every tier matches baseline scalar "
+               "bit-for-bit\n";
   return 0;
 }

@@ -11,10 +11,13 @@
 //
 // Three phases:
 //
-//   1. First-repair work — candidates evaluated and wall time to the
-//      first minimal repair, fixed-rank (use_planner=false) vs planned,
-//      at three sizes. Hard gate: the planned search evaluates strictly
-//      fewer candidates and finds the same repair.
+//   1. First-repair work — candidates evaluated and best-of-kReps wall
+//      time to the first minimal repair, fixed-rank (use_planner=false) vs
+//      planned, at three sizes. Hard gate: the planned search evaluates
+//      strictly fewer candidates and finds the same repair. Wall-time gate
+//      (full mode only; FDEVOLVE_BENCH_FAST reports it, since shared CI
+//      runners are too noisy): on the large instance the planned search is
+//      no slower than fixed-rank.
 //   2. Identity gate (hard, exit-nonzero) — kAllRepairs with no budget:
 //      planner on and off must return the same repairs with bit-identical
 //      measures (the planning-never-changes-answers contract the fuzz
@@ -47,6 +50,7 @@ using relation::Schema;
 using relation::Value;
 
 constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
+constexpr int kReps = 5;  ///< best-of to damp scheduler noise
 // Decoy domains: all far below |π_XY|/|π_X| (~15 under the 30% drift), so
 // the depth-1 bound min(live, |π_X|·slots) < |π_XY| disproves each one.
 const std::vector<uint64_t> kJunkDomains = {2, 3, 4, 5, 6, 8};
@@ -107,14 +111,24 @@ FirstRepairRun TimeFirstRepair(const Relation& rel, bool use_planner) {
   fd::RepairOptions opts = BaseOptions();
   opts.mode = fd::SearchMode::kFirstRepair;
   opts.use_planner = use_planner;
-  fd::RepairResult res = fd::Extend(rel, XtoY(), opts);
-  if (!res.found() || res.best()->added != AttrSet::Of({2})) {
-    std::cerr << "PLANNER GATE FAIL: " << (use_planner ? "planned" : "fixed")
-              << " search missed the planted repair (x,fix -> y)\n";
-    ++g_gate_failures;
+  FirstRepairRun run;
+  for (int rep = 0; rep < kReps; ++rep) {
+    fd::RepairResult res = fd::Extend(rel, XtoY(), opts);
+    if (!res.found() || res.best()->added != AttrSet::Of({2})) {
+      std::cerr << "PLANNER GATE FAIL: "
+                << (use_planner ? "planned" : "fixed")
+                << " search missed the planted repair (x,fix -> y)\n";
+      ++g_gate_failures;
+    }
+    // The search is deterministic, so the work counters of the last rep
+    // stand for all of them; only the wall time varies.
+    run.evaluated = res.stats.candidates_evaluated;
+    run.pruned = res.stats.pruned_by_bound;
+    if (rep == 0 || res.stats.elapsed_ms < run.ms) {
+      run.ms = res.stats.elapsed_ms;
+    }
   }
-  return {res.stats.candidates_evaluated, res.stats.pruned_by_bound,
-          res.stats.elapsed_ms};
+  return run;
 }
 
 /// Hard gate: with no budget, planning must not change the repair set or
@@ -198,6 +212,12 @@ int main() {
   }
   CheckRepairIdentity(large);
   BudgetRun budget = CheckBudget(large);
+  const bool walltime_ok = planned.back().ms <= fixed.back().ms;
+  if (!walltime_ok) {
+    std::cerr << "WALL-TIME GATE: " << sizes.back() << " rows: planned "
+              << planned.back().ms << " ms > fixed-rank " << fixed.back().ms
+              << " ms (best of " << kReps << ")\n";
+  }
 
   const double reduction =
       planned.back().evaluated > 0
@@ -206,7 +226,7 @@ int main() {
           : 0.0;
 
   util::TablePrinter table("repair-search planner (first repair)");
-  table.SetHeader({"rows", "mode", "evaluated", "pruned", "ms"});
+  table.SetHeader({"rows", "mode", "evaluated", "pruned", "best ms"});
   for (size_t i = 0; i < sizes.size(); ++i) {
     table.AddRow({std::to_string(sizes[i]), "fixed-rank",
                   std::to_string(fixed[i].evaluated),
@@ -239,6 +259,7 @@ int main() {
        << "  \"budget_cost_ms\": " << budget.budget << ",\n"
        << "  \"budget_spent_ms\": " << budget.spent << ",\n"
        << "  \"identity_gate_failures\": " << g_gate_failures << ",\n"
+       << "  \"walltime_gate_failures\": " << (walltime_ok ? 0 : 1) << ",\n"
        << "  \"fast\": " << (fast ? "true" : "false") << "\n"
        << "}\n";
 
@@ -249,5 +270,15 @@ int main() {
   }
   std::cout << "identity gate passed: planned search == fixed-rank repairs, "
                "strictly less work\n";
+  if (!walltime_ok) {
+    if (!fast) {
+      std::cerr << "FAIL: planned search slower than fixed-rank\n";
+      return 1;
+    }
+    std::cout << "wall-time gate not enforced under FDEVOLVE_BENCH_FAST\n";
+  } else {
+    std::cout << "wall-time gate passed: planned no slower than fixed-rank "
+                 "on the large instance\n";
+  }
   return 0;
 }

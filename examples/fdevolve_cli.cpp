@@ -21,11 +21,10 @@
 //       --no-planner              (disable cardinality-bound pruning; the
 //                                  repair set is identical either way when
 //                                  no budget is set — only work changes)
-//       --cpu-features=T          (pin the SIMD kernel tier: baseline,
-//                                  sse42, avx2, or avx512; clamped to what
-//                                  the host supports. Results are
-//                                  bit-identical across tiers, only speed
-//                                  changes. Env: FDEVOLVE_CPU_FEATURES)
+//
+// The SIMD kernel tier follows FDEVOLVE_CPU_FEATURES (baseline, avx2 or
+// avx512; clamped to what the host supports). Results are bit-identical
+// across tiers, only speed changes.
 //
 // Snapshot mode — convert between CSV and the FDEV1 binary snapshot
 // format (persists the encoded columns, so loading skips the parse and
@@ -43,7 +42,7 @@
 //       --batch=N                 (insert batch size, default and maximum:
 //                                  check-interval — larger batches would
 //                                  under-check)
-//       --threads=N               (as above)
+//       --threads=N               (repair-search width for --suggest)
 //       --suggest                 (print repair suggestions for drifted FDs)
 //       --snapshot=FILE           (write a monitor checkpoint when done)
 //       --stop-after=N            (stop after ~N streamed tuples — rounded
@@ -94,7 +93,6 @@ int Usage(const char* argv0) {
                "       [--k=N] [--max-attrs=N] [--target=X]\n"
                "       [--goodness-threshold=N] [--exclude-unique] [--threads=N]\n"
                "       [--explain] [--budget-ms=X] [--budget-cost=X] [--no-planner]\n"
-               "       [--cpu-features=baseline|sse42|avx2|avx512]\n"
                "   or: " << argv0 << " save <data.csv> <out.fdsnap>\n"
                "   or: " << argv0 << " load <snap.fdsnap> [--csv=<out.csv>]\n"
                "   or: " << argv0
@@ -102,7 +100,6 @@ int Usage(const char* argv0) {
                "       [--check-interval=N] [--initial=N] [--batch=N]\n"
                "       [--threads=N] [--suggest] [--snapshot=FILE]\n"
                "       [--stop-after=N] [--sample=K] [--seed=S]\n"
-               "       [--cpu-features=baseline|sse42|avx2|avx512]\n"
                "   or: " << argv0
             << " monitor <data.csv> --resume=FILE\n"
                "       [--batch=N] [--threads=N] [--suggest]\n"
@@ -115,21 +112,6 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   std::string prefix = "--" + name + "=";
   if (!util::StartsWith(arg, prefix)) return false;
   *value = arg.substr(prefix.size());
-  return true;
-}
-
-// --cpu-features=baseline|sse42|avx2|avx512: pin the SIMD kernel tier for
-// this process. Names above what the host supports are clamped down (so a
-// script can say avx512 everywhere); unknown names fail loudly. The
-// FDEVOLVE_CPU_FEATURES environment variable is the equivalent knob for
-// binaries without flag plumbing.
-bool ApplyCpuFeatures(const std::string& value) {
-  try {
-    query::kernels::ForceTierByName(value);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "--cpu-features: " << e.what() << "\n";
-    return false;
-  }
   return true;
 }
 
@@ -317,8 +299,6 @@ int RunMonitor(int argc, char** argv) {
       seed_set = true;
     } else if (ParseFlag(arg, "threads", &value)) {
       if (!CheckedInt("threads", value, 0, &threads)) return 2;
-    } else if (ParseFlag(arg, "cpu-features", &value)) {
-      if (!ApplyCpuFeatures(value)) return 2;
     } else if (ParseFlag(arg, "snapshot", &value)) {
       snapshot_path = value;
     } else if (ParseFlag(arg, "resume", &value)) {
@@ -409,7 +389,7 @@ int RunMonitor(int argc, char** argv) {
     if (check_interval == 0) check_interval = 1;  // never divide below
     batch_hint = ckpt.checkpoint->stream_batch_hint;
     try {
-      monitor.emplace(std::move(*ckpt.checkpoint), threads);
+      monitor.emplace(std::move(*ckpt.checkpoint));
     } catch (const std::invalid_argument& e) {
       std::cerr << "cannot resume from " << resume_path << ": " << e.what()
                 << "\n";
@@ -435,8 +415,7 @@ int RunMonitor(int argc, char** argv) {
       monitor.emplace(std::move(seed), std::move(fds), check_interval, sample,
                       sample_seed);
     } else {
-      monitor.emplace(std::move(seed), std::move(fds), check_interval,
-                      threads);
+      monitor.emplace(std::move(seed), std::move(fds), check_interval);
     }
   }
   const bool sampled = monitor->sampled();
@@ -497,7 +476,6 @@ int RunMonitor(int argc, char** argv) {
             << (resuming ? " from checkpoint" : " seed") << " + "
             << (stop - start) << " streamed), check every " << check_interval
             << " inserts, batch " << batch;
-  if (!sampled) std::cout << ", threads " << monitor->threads();
   std::cout << "\n";
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
@@ -708,8 +686,6 @@ int main(int argc, char** argv) {
       }
     } else if (ParseFlag(arg, "threads", &value)) {
       if (!CheckedInt("threads", value, 0, &opts.threads)) return 2;
-    } else if (ParseFlag(arg, "cpu-features", &value)) {
-      if (!ApplyCpuFeatures(value)) return 2;
     } else if (ParseFlag(arg, "budget-ms", &value)) {
       if (!CheckedDouble("budget-ms", value, 0.0, 1e12, &opts.budget_ms)) {
         return 2;

@@ -8,16 +8,17 @@
 // SIGINT/SIGTERM trigger a clean shutdown: live sessions are drained and,
 // when --checkpoint is set, the final state is persisted before exit
 // (checkpoint-on-shutdown — the file is always loadable via --resume).
+// The kernel tier follows the FDEVOLVE_CPU_FEATURES environment variable.
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <stdexcept>
+#include <optional>
 #include <string>
 
 #include "query/kernels.h"
 #include "server/server.h"
 #include "util/cpu_features.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -31,16 +32,12 @@ void HandleSignal(int) {
 
 void Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--port N] [--checkpoint FILE] [--resume]"
-               " [--cpu-features T]\n"
-            << "  --port N          listen port (default: kernel-assigned)\n"
+            << " [--port N] [--checkpoint FILE] [--resume]\n"
+            << "  --port N          listen port 0-65535 (default 0: "
+               "kernel-assigned)\n"
             << "  --checkpoint FILE persist state here on CHECKPOINT and "
                "shutdown\n"
-            << "  --resume          load FILE before serving\n"
-            << "  --cpu-features T  pin the SIMD kernel tier (baseline, "
-               "sse42, avx2, avx512;\n"
-               "                    clamped to host support; env: "
-               "FDEVOLVE_CPU_FEATURES)\n";
+            << "  --resume          load FILE before serving\n";
 }
 
 }  // namespace
@@ -50,18 +47,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--port" && i + 1 < argc) {
-      opts.port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      const std::string value = argv[++i];
+      const std::optional<uint64_t> port = fdevolve::util::ParseUint64(value);
+      if (!port || *port > UINT16_MAX) {
+        std::cerr << "--port: expected an integer in 0..65535, got '" << value
+                  << "'\n";
+        return 2;
+      }
+      opts.port = static_cast<uint16_t>(*port);
     } else if (arg == "--checkpoint" && i + 1 < argc) {
       opts.service.checkpoint_path = argv[++i];
     } else if (arg == "--resume") {
       opts.resume = true;
-    } else if (arg == "--cpu-features" && i + 1 < argc) {
-      try {
-        fdevolve::query::kernels::ForceTierByName(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "--cpu-features: " << e.what() << "\n";
-        return 2;
-      }
     } else {
       Usage(argv[0]);
       return 2;

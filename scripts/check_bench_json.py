@@ -73,11 +73,9 @@ SCHEMAS = {
         "tiers_tested": positive,
         "baseline.dense_ns_per_tuple": positive,
         "baseline.flat_ns_per_tuple": positive,
-        "baseline.remap_ns_per_tuple": positive,
         "best_tier.name": non_empty_string,
         "best_tier.dense_ns_per_tuple": positive,
         "best_tier.flat_ns_per_tuple": positive,
-        "best_tier.remap_ns_per_tuple": positive,
         "best_tier.dense_speedup": positive,
         "best_tier.flat_speedup": positive,
         "fused_chain_ms": positive,
@@ -94,10 +92,8 @@ SCHEMAS = {
         "eb_ranking.ms_t1": positive,
         "eb_ranking.ms_t4": positive,
         "eb_ranking.speedup_t4": positive,
-        "distinct_count.ms_t1": positive,
-        "distinct_count.ms_t4": positive,
-        "distinct_count.speedup_t4": positive,
         "determinism_failures": zero,
+        "walltime_gate_failures": non_negative,
         "fast": boolean,
     },
     "BENCH_planner.json": {
@@ -121,6 +117,7 @@ SCHEMAS = {
         "budget_cost_ms": positive,
         "budget_spent_ms": non_negative,
         "identity_gate_failures": zero,
+        "walltime_gate_failures": non_negative,
         "fast": boolean,
     },
     "BENCH_sampled.json": {

@@ -13,6 +13,8 @@ way a human with nc would, and checks the full durability story:
      survives, and a fresh insert lands
   4. SIGTERM path: the signal handler shuts down cleanly and the exit
      checkpoint is loadable again
+  5. argument checks: an out-of-range or non-numeric --port is refused
+     with exit status 2 instead of listening somewhere else
 
 Usage: python3 scripts/server_smoke.py [path-to-fdevolve_serverd]
 Exits non-zero on the first failed expectation (CI runs it as a job step).
@@ -80,6 +82,22 @@ def start_server(binary, checkpoint, resume=False):
     proc.kill()
     print("FAIL: no listen line, got:", repr(line), file=sys.stderr)
     sys.exit(1)
+
+
+def expect_rejected_port(binary, port):
+    """The server must refuse `--port <port>` up front: exit 2, a message
+    naming the flag, and never a listen line."""
+    proc = subprocess.Popen([binary, "--port", port], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        expect(False, "--port " + port + " rejected (server kept running)")
+    expect(proc.returncode == 2 and "--port" in err
+           and "listening" not in out,
+           "--port " + port + " rejected with exit 2: " + err.strip())
 
 
 def main():
@@ -159,6 +177,11 @@ def main():
     expect(reply == "OK 3", "count after SIGTERM checkpoint -> " + reply)
     s.request("SHUTDOWN")
     expect(proc.wait(timeout=30) == 0, "final clean exit")
+
+    # 5. Unchecked ports used to wrap (70000 -> 4464) or parse as 0 (a
+    #    random port); both must now fail loudly.
+    expect_rejected_port(binary, "70000")
+    expect_rejected_port(binary, "abc")
 
     print("server smoke: all checks passed")
 

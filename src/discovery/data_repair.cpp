@@ -4,19 +4,17 @@
 #include <unordered_map>
 
 #include "query/group_ids.h"
-#include "util/thread_pool.h"
 
 namespace fdevolve::discovery {
 
 DataRepairResult RepairByDeletion(const relation::Relation& rel,
-                                  const fd::Fd& fd, int threads) {
+                                  const fd::Fd& fd) {
   relation::RequireNoTombstones(rel, "discovery::RepairByDeletion");
   DataRepairResult result;
   const size_t n = rel.tuple_count();
   if (n == 0) return result;
 
   query::RefineScratch scratch;
-  scratch.threads = util::ResolveThreads(threads);
   query::Grouping gx = query::GroupBy(rel, fd.lhs(), scratch);
   query::Grouping gxy = query::RefineBy(rel, gx, fd.rhs(), scratch);
 
@@ -65,7 +63,7 @@ relation::Relation ApplyDeletion(const relation::Relation& rel,
 
 DataRepairResult RepairAllByDeletion(const relation::Relation& rel,
                                      const std::vector<fd::Fd>& fds,
-                                     int max_rounds, int threads) {
+                                     int max_rounds) {
   relation::RequireNoTombstones(rel, "discovery::RepairAllByDeletion");
   // Track surviving original indices so the reported deletion set refers
   // to the input relation.
@@ -78,7 +76,7 @@ DataRepairResult RepairAllByDeletion(const relation::Relation& rel,
   for (int round = 0; round < max_rounds; ++round) {
     bool any = false;
     for (const auto& f : fds) {
-      DataRepairResult step = RepairByDeletion(current, f, threads);
+      DataRepairResult step = RepairByDeletion(current, f);
       if (step.deleted.empty()) continue;
       any = true;
       for (size_t local : step.deleted) {
@@ -111,13 +109,11 @@ DataRepairResult RepairAllByDeletion(const relation::Relation& rel,
   return result;
 }
 
-size_t CountViolatingPairs(const relation::Relation& rel, const fd::Fd& fd,
-                           int threads) {
+size_t CountViolatingPairs(const relation::Relation& rel, const fd::Fd& fd) {
   relation::RequireNoTombstones(rel, "discovery::CountViolatingPairs");
   const size_t n = rel.tuple_count();
   if (n == 0) return 0;
   query::RefineScratch scratch;
-  scratch.threads = util::ResolveThreads(threads);
   query::Grouping gx = query::GroupBy(rel, fd.lhs(), scratch);
   query::Grouping gxy = query::RefineBy(rel, gx, fd.rhs(), scratch);
 

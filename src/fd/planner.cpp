@@ -29,7 +29,7 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
   plan.budget_ms = opts.budget_ms;
   plan.budget_cost = opts.budget_cost;
 
-  query::DistinctEvaluator eval(rel, 1);
+  query::DistinctEvaluator eval(rel);
   plan.original = ComputeMeasures(eval, fd);
   const size_t xy = plan.original.distinct_xy;
   plan.already_exact =

@@ -78,7 +78,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return target >= 1.0 ? x == xy : confidence >= target;
   };
 
-  query::DistinctEvaluator eval(rel, opts.threads);
+  query::DistinctEvaluator eval(rel);
   result.original_measures = ComputeMeasures(eval, fd);
   if (satisfies_target(result.original_measures.distinct_x,
                        result.original_measures.distinct_xy,

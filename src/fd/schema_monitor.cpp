@@ -18,33 +18,36 @@ bool SameMeasures(const FdMeasures& a, const FdMeasures& b) {
 }  // namespace
 
 SchemaMonitor::SchemaMonitor(std::unique_ptr<relation::Relation> owned,
-                             relation::Relation* shared, size_t check_interval,
-                             int threads)
+                             relation::Relation* shared, size_t check_interval)
     : owned_(std::move(owned)),
       rel_(owned_ ? owned_.get() : shared),
-      eval_(*rel_, threads),
+      eval_(*rel_),
       check_interval_(check_interval == 0 ? 1 : check_interval),
       observed_mutations_(rel_->appends_ever() + rel_->deletes_ever()),
       observed_compactions_(rel_->compactions()) {}
 
 SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                             size_t check_interval, int threads)
+                             size_t check_interval)
     : SchemaMonitor(std::make_unique<relation::Relation>(std::move(initial)),
-                    nullptr, check_interval, threads) {
+                    nullptr, check_interval) {
   RegisterFds(std::move(fds));
 }
 
 SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
-                             size_t check_interval, int threads)
-    : SchemaMonitor(nullptr, shared, check_interval, threads) {
+                             size_t check_interval)
+    : SchemaMonitor(nullptr, shared, check_interval) {
   RegisterFds(std::move(fds));
 }
+
+SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
+                             size_t check_interval, int /*threads*/)
+    : SchemaMonitor(shared, std::move(fds), check_interval) {}
 
 SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
                              size_t check_interval, size_t capacity,
                              uint64_t seed)
     : SchemaMonitor(std::make_unique<relation::Relation>(std::move(initial)),
-                    nullptr, check_interval, /*threads=*/1) {
+                    nullptr, check_interval) {
   sampler_ = std::make_unique<query::ReservoirSampler>(rel_, capacity, seed);
   RegisterFds(std::move(fds));
 }
@@ -52,14 +55,13 @@ SchemaMonitor::SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
 SchemaMonitor::SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
                              size_t check_interval, size_t capacity,
                              uint64_t seed)
-    : SchemaMonitor(nullptr, shared, check_interval, /*threads=*/1) {
+    : SchemaMonitor(nullptr, shared, check_interval) {
   sampler_ = std::make_unique<query::ReservoirSampler>(rel_, capacity, seed);
   RegisterFds(std::move(fds));
 }
 
-SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
-                             int threads)
-    : SchemaMonitor(nullptr, shared, state.check_interval, threads) {
+SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state)
+    : SchemaMonitor(nullptr, shared, state.check_interval) {
   if (state.watermark != rel_->version()) {
     throw std::invalid_argument(
         "SchemaMonitor: monitor state was captured at watermark " +
@@ -72,10 +74,14 @@ SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
   Restore(std::move(state.fds), std::move(state.drift_log), state.reservoir);
 }
 
-SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint, int threads)
+SchemaMonitor::SchemaMonitor(relation::Relation* shared, MonitorState state,
+                             int /*threads*/)
+    : SchemaMonitor(shared, std::move(state)) {}
+
+SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint)
     : SchemaMonitor(
           std::make_unique<relation::Relation>(std::move(checkpoint.rel)),
-          nullptr, checkpoint.check_interval, threads) {
+          nullptr, checkpoint.check_interval) {
   inserts_since_check_ = checkpoint.inserts_since_check;
   checks_run_ = checkpoint.checks_run;
   Restore(std::move(checkpoint.fds), std::move(checkpoint.drift_log),

@@ -171,16 +171,14 @@ struct MonitorState {
 class SchemaMonitor {
  public:
   /// Exact, owning. `check_interval`: re-validate after this many
-  /// inserts (>=1). `threads`: execution width for the evaluator's
-  /// refinement passes (0 = hardware_concurrency, 1 = exact sequential
-  /// path); results are identical for every value.
+  /// inserts (>=1).
   SchemaMonitor(relation::Relation initial, std::vector<Fd> fds,
-                size_t check_interval = 1, int threads = 0);
+                size_t check_interval = 1);
 
   /// Exact, external: monitors `*shared` without owning it (see class
   /// comment). Measures are computed at the relation's current watermark.
   SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
-                size_t check_interval = 1, int threads = 0);
+                size_t check_interval = 1);
 
   /// Sampled, owning. `capacity` is the reservoir slot budget (>= 1);
   /// `seed` drives every sampling decision.
@@ -203,15 +201,23 @@ class SchemaMonitor {
   /// (inserts_since_check == 0 — the stored measures then date from
   /// exactly the current watermark, so a mismatch means a corrupt or
   /// mismatched state).
-  SchemaMonitor(relation::Relation* shared, MonitorState state,
-                int threads = 0);
+  SchemaMonitor(relation::Relation* shared, MonitorState state);
 
   /// Owning-mode restore from a checkpoint (same rules): restores the
   /// relation, registered FDs, drift log, interval position and sampler
   /// verbatim. The resumed monitor emits the exact check sequence the
   /// checkpointed one would have — measures, drift events, and counters
   /// are bit-identical from here on.
-  explicit SchemaMonitor(MonitorCheckpoint checkpoint, int threads = 0);
+  explicit SchemaMonitor(MonitorCheckpoint checkpoint);
+
+  /// The exact-external and restore constructors with the trailing
+  /// execution-width argument they used to take, which is ignored: every
+  /// refinement pass is sequential. Kept for the frozen benchmark under
+  /// perfbench/, which calls these two forms.
+  SchemaMonitor(relation::Relation* shared, std::vector<Fd> fds,
+                size_t check_interval, int /*threads*/);
+  SchemaMonitor(relation::Relation* shared, MonitorState state,
+                int /*threads*/);
 
   SchemaMonitor(const SchemaMonitor&) = delete;
   SchemaMonitor& operator=(const SchemaMonitor&) = delete;
@@ -303,9 +309,6 @@ class SchemaMonitor {
 
   size_t check_interval() const { return check_interval_; }
 
-  /// Resolved execution width of the underlying evaluator.
-  int threads() const { return eval_.threads(); }
-
   /// True when measures are estimated from a reservoir sample.
   bool sampled() const { return sampler_ != nullptr; }
   /// Reservoir slot budget and seed (0 for an exact monitor).
@@ -316,8 +319,7 @@ class SchemaMonitor {
   /// Shared initialization of every public constructor: binds the relation
   /// (`owned` when non-null, else `shared`) and the cadence counters.
   SchemaMonitor(std::unique_ptr<relation::Relation> owned,
-                relation::Relation* shared, size_t check_interval,
-                int threads);
+                relation::Relation* shared, size_t check_interval);
 
   /// The sampler's state, absent for an exact monitor.
   std::optional<query::ReservoirState> ReservoirState() const;

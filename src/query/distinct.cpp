@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/thread_pool.h"
-
 namespace fdevolve::query {
 namespace {
 
@@ -56,17 +54,13 @@ size_t SortDistinct(const relation::Relation& rel,
 
 size_t DistinctCount(const relation::Relation& rel,
                      const relation::AttrSet& attrs,
-                     DistinctStrategy strategy, int threads) {
+                     DistinctStrategy strategy) {
   if (strategy == DistinctStrategy::kSort) return SortDistinct(rel, attrs);
-  RefineScratch scratch;
-  scratch.threads = util::ResolveThreads(threads);
-  return GroupCountBy(rel, attrs, scratch);
+  return GroupCountBy(rel, attrs);
 }
 
-DistinctEvaluator::DistinctEvaluator(const relation::Relation& rel,
-                                     int threads)
+DistinctEvaluator::DistinctEvaluator(const relation::Relation& rel)
     : rel_(rel), watermark_(rel.version()) {
-  scratch_.threads = util::ResolveThreads(threads);
   mutation_seen_ = rel.has_tombstones();
   tomb_pos_ = rel.deletion_log().size();
   epoch_seen_ = rel.mutation_epoch();

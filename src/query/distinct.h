@@ -29,17 +29,10 @@ enum class DistinctStrategy {
 /// single attribute on an append-only relation is answered from the
 /// column dictionary in O(1).
 ///
-/// \param threads execution width for the hash strategy's refinement
-///        passes: 0 (default) resolves to `hardware_concurrency`, 1 forces
-///        the exact sequential code path, k > 1 range-partitions large
-///        scans across the shared thread pool. The result is identical for
-///        every value — parallelism changes wall time, never the count.
-///        The sort strategy ignores it.
 /// \return the distinct count.
 size_t DistinctCount(const relation::Relation& rel,
                      const relation::AttrSet& attrs,
-                     DistinctStrategy strategy = DistinctStrategy::kHash,
-                     int threads = 0);
+                     DistinctStrategy strategy = DistinctStrategy::kHash);
 
 /// \brief Batched evaluator with a per-instance memo, incrementally
 /// maintainable under appends.
@@ -102,12 +95,9 @@ size_t DistinctCount(const relation::Relation& rel,
 /// Advance() mutate the memo caches, so two threads must never call into
 /// the same instance concurrently (including "read-only looking" calls —
 /// every query may insert or advance). External synchronization or one
-/// evaluator per thread is required. The `threads` knob is *internal*
-/// parallelism and is safe: the evaluator stays the only writer to its
-/// caches while worker threads range-partition individual scans through
-/// chunk-private state, and all workers have finished (with a
-/// happens-before edge) when a query returns. Callers that parallelize
-/// *across* candidates (the repair search) instead snapshot
+/// evaluator per thread is required. Every pass runs on the calling
+/// thread. Callers that parallelize *across* candidates (the repair
+/// search) snapshot
 /// `const Grouping&` references from GroupFor() up front and hand worker
 /// threads their own RefineScratch — cached groupings are stable (their
 /// addresses never change, and their contents only grow via Advance), so
@@ -120,12 +110,10 @@ class DistinctEvaluator {
   ///        `rel` between queries are folded in incrementally (see class
   ///        comment); the evaluator must be quiescent while rows are
   ///        appended.
-  /// \param threads execution width for refinement passes (see
-  ///        DistinctCount); 0 = auto, 1 = exact sequential path.
-  explicit DistinctEvaluator(const relation::Relation& rel, int threads = 0);
+  explicit DistinctEvaluator(const relation::Relation& rel);
 
   /// \brief |π_attrs| over the relation's live rows, with memoisation
-  /// (see class comment). Identical for every `threads` setting.
+  /// (see class comment).
   size_t Count(const relation::AttrSet& attrs);
 
   /// \brief Memoised grouping for an attribute set (shared with clustering
@@ -165,9 +153,6 @@ class DistinctEvaluator {
   /// Total number of grouping/count computations performed (cache misses).
   /// Advance() maintains existing entries and never counts as a miss.
   size_t miss_count() const { return misses_; }
-
-  /// Resolved execution width (>= 1) used by this evaluator's passes.
-  int threads() const { return scratch_.threads; }
 
   const relation::Relation& rel() const { return rel_; }
 

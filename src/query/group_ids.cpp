@@ -6,7 +6,6 @@
 #include <string>
 
 #include "query/kernels.h"
-#include "util/thread_pool.h"
 
 namespace fdevolve::query {
 namespace {
@@ -87,19 +86,19 @@ size_t PlanSegment(uint64_t groups, const kernels::Level* levels,
   return take;
 }
 
-/// Sequential fused pass over one segment.
-size_t SequentialSegment(const uint32_t* base_ids, uint64_t base_groups,
-                         const kernels::Level* levels, size_t nlevels,
-                         size_t n, RefineScratch& s, uint32_t* out,
-                         const uint8_t* live, uint64_t cells, bool dense) {
+/// One fused pass over one segment: a single sequential sweep through the
+/// active tier's dense or flat kernel.
+size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
+                  const kernels::Level* levels, size_t nlevels, size_t n,
+                  RefineScratch& s, uint32_t* out, const uint8_t* live,
+                  uint64_t cells, bool dense) {
   const kernels::KernelSet& ks = kernels::Active();
   kernels::RefineArgs a;
   a.base_ids = base_ids;
   a.base_groups = base_groups;
   a.levels = levels;
   a.level_count = nlevels;
-  a.lo = 0;
-  a.hi = n;
+  a.n = n;
   a.out = out;
   a.live = live;
   if (dense) {
@@ -110,122 +109,6 @@ size_t SequentialSegment(const uint32_t* base_ids, uint64_t base_groups,
   }
   s.table.Reset(n);  // a pass introduces at most n distinct packed keys
   return ks.flat_refine(a, s.table, 0);
-}
-
-/// Range-partitioned fused pass (the `scratch.threads > 1` path).
-///
-/// Phase 1 (parallel)   — each chunk scans its tuple range and assigns
-///   *local* first-appearance ids, recording the packed key of every local
-///   id in assignment order. When materializing, local ids land in `out`.
-/// Phase 2 (sequential) — chunk key lists are merged in chunk (= range)
-///   order through one global table; since each list is in local
-///   first-appearance order and chunks cover ascending ranges, the global
-///   ids are exactly the sequential scan's — bit-identical, not just
-///   partition-equivalent.
-/// Phase 3 (parallel)   — local ids in `out` are rewritten through each
-///   chunk's local->global remap (skipped when count-only).
-///
-/// Each chunk picks dense or flat on its own with the admission test
-/// scaled to the *chunk* length (total extra memory stays O(n) cells, as
-/// in the sequential bound). Dense or flat, the recorded key is the same
-/// packed value, so the merge cannot tell the paths apart — nor can it
-/// tell SIMD tiers apart, since every tier records identical key lists.
-size_t ParallelSegment(const uint32_t* base_ids, uint64_t base_groups,
-                       const kernels::Level* levels, size_t nlevels, size_t n,
-                       RefineScratch& s, int width, uint32_t* out,
-                       const uint8_t* live, uint64_t cells) {
-  const size_t chunk_rows =
-      (n + static_cast<size_t>(width) - 1) / static_cast<size_t>(width);
-  // Shrink to the number of non-empty chunks: with width near n/grain a
-  // trailing chunk can otherwise start past n, and its wrapped length
-  // would poison the per-chunk dense-admission test.
-  width = static_cast<int>((n + chunk_rows - 1) / chunk_rows);
-  if (s.chunks.size() < static_cast<size_t>(width)) {
-    s.chunks.resize(static_cast<size_t>(width));
-  }
-  const kernels::KernelSet& ks = kernels::Active();
-  util::ThreadPool& pool = util::ThreadPool::Global();
-
-  // The parallel-for iterates chunk indices, not tuples: the tuple
-  // partition is fixed here (chunk_rows) so phases 1 and 3 agree on it.
-  pool.ParallelFor(
-      static_cast<size_t>(width), 1, width, [&](int, size_t cb, size_t ce) {
-        for (size_t c = cb; c < ce; ++c) {
-          RefineScratch::ChunkState& cs = s.chunks[c];
-          const size_t lo = c * chunk_rows;
-          const size_t hi = std::min(n, lo + chunk_rows);
-          cs.keys.clear();
-          kernels::RefineArgs a;
-          a.base_ids = base_ids;
-          a.base_groups = base_groups;
-          a.levels = levels;
-          a.level_count = nlevels;
-          a.lo = lo;
-          a.hi = hi;
-          a.out = out;
-          a.live = live;
-          a.keys_out = &cs.keys;
-          if (cells <= DenseLimit(hi - lo)) {
-            if (cs.dense.size() < cells) cs.dense.resize(cells);
-            std::fill(cs.dense.begin(),
-                      cs.dense.begin() + static_cast<ptrdiff_t>(cells), kNoId);
-            ks.dense_refine(a, cs.dense.data(), 0);
-          } else {
-            cs.table.Reset(hi - lo);
-            ks.flat_refine(a, cs.table, 0);
-          }
-        }
-      });
-
-  size_t total_keys = 0;
-  for (int c = 0; c < width; ++c) {
-    total_keys += s.chunks[static_cast<size_t>(c)].keys.size();
-  }
-  s.merge.Reset(total_keys);
-  uint32_t fresh = 0;
-  for (int c = 0; c < width; ++c) {
-    RefineScratch::ChunkState& cs = s.chunks[static_cast<size_t>(c)];
-    cs.remap.resize(cs.keys.size());
-    for (size_t j = 0; j < cs.keys.size(); ++j) {
-      bool inserted = false;
-      const uint32_t gid = s.merge.FindOrInsert(cs.keys[j], fresh, &inserted);
-      if (inserted) ++fresh;
-      cs.remap[j] = gid;
-    }
-  }
-
-  if (out != nullptr) {
-    pool.ParallelFor(
-        static_cast<size_t>(width), 1, width, [&](int, size_t cb, size_t ce) {
-          for (size_t c = cb; c < ce; ++c) {
-            const size_t lo = c * chunk_rows;
-            const size_t hi = std::min(n, lo + chunk_rows);
-            ks.remap(out, lo, hi, s.chunks[c].remap.data());
-          }
-        });
-  }
-  return fresh;
-}
-
-/// Segment dispatcher: parallel when the scratch's `threads` knob and the
-/// pass size justify it, sequential otherwise. `threads == 1` never
-/// reaches the pool.
-size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
-                  const kernels::Level* levels, size_t nlevels, size_t n,
-                  RefineScratch& s, uint32_t* out, const uint8_t* live,
-                  uint64_t cells, bool dense) {
-  if (s.threads != 1 && n > s.grain) {
-    const size_t grain = std::max<size_t>(s.grain, 1);
-    const int width = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(util::ResolveThreads(s.threads)),
-        (n + grain - 1) / grain));
-    if (width > 1) {
-      return ParallelSegment(base_ids, base_groups, levels, nlevels, n, s,
-                             width, out, live, cells);
-    }
-  }
-  return SequentialSegment(base_ids, base_groups, levels, nlevels, n, s, out,
-                           live, cells, dense);
 }
 
 /// Runs a whole refinement chain as a sequence of *fused* segments: each

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "query/kernels_detail.h"
 
@@ -13,21 +14,16 @@ namespace fdevolve::query::kernels {
 namespace {
 
 uint32_t BaselineDense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  return detail::DenseRefineRange(a, dense, fresh, a.lo, a.hi);
+  return detail::DenseRefineRange(a, dense, fresh, 0, a.n);
 }
 
 uint32_t BaselineFlat(const RefineArgs& a, util::FlatIdTable& table,
                       uint32_t fresh) {
-  return detail::FlatRefineRange(a, table, fresh, a.lo, a.hi);
-}
-
-void BaselineRemap(uint32_t* ids, size_t lo, size_t hi,
-                   const uint32_t* remap) {
-  detail::RemapRange(ids, lo, hi, remap);
+  return detail::FlatRefineRange(a, table, fresh, 0, a.n);
 }
 
 constexpr KernelSet kBaselineKernels{util::CpuTier::kBaseline, BaselineDense,
-                                     BaselineFlat, BaselineRemap};
+                                     BaselineFlat};
 
 /// Tier -> kernel set, falling back to baseline when a tier is not
 /// compiled into this binary (non-x86 builds).
@@ -38,12 +34,9 @@ const KernelSet* SetForTier(util::CpuTier tier) {
       return &kAvx512Kernels;
     case util::CpuTier::kAvx2:
       return &kAvx2Kernels;
-    case util::CpuTier::kSse42:
-      return &kSse42Kernels;
 #else
     case util::CpuTier::kAvx512:
     case util::CpuTier::kAvx2:
-    case util::CpuTier::kSse42:
 #endif
     case util::CpuTier::kBaseline:
       break;
@@ -69,7 +62,7 @@ const KernelSet* ResolveStartup() {
     if (!util::ParseCpuTier(env, &want)) {
       throw std::invalid_argument(
           std::string("FDEVOLVE_CPU_FEATURES: unknown tier '") + env +
-          "' (expected baseline|sse42|avx2|avx512)");
+          "' (expected baseline|avx2|avx512)");
     }
     tier = ClampToHost(want);
   }
@@ -102,15 +95,6 @@ util::CpuTier ForceTier(util::CpuTier tier) {
   const KernelSet* set = SetForTier(ClampToHost(tier));
   g_active.store(set, std::memory_order_release);
   return set->tier;
-}
-
-util::CpuTier ForceTierByName(const std::string& name) {
-  util::CpuTier tier;
-  if (!util::ParseCpuTier(name, &tier)) {
-    throw std::invalid_argument("unknown cpu tier '" + name +
-                                "' (expected baseline|sse42|avx2|avx512)");
-  }
-  return ForceTier(tier);
 }
 
 std::vector<util::CpuTier> SupportedTiers() {

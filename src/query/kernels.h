@@ -3,7 +3,7 @@
 // tier, resolved once at startup from util::DetectCpuFeatures()).
 //
 // Every kernel implements the same *fused multi-level* refinement pass: one
-// sweep over a tuple range combines the incoming group ids with a whole
+// sweep over the relation combines the incoming group ids with a whole
 // chain of column levels at once via a packed mixed-radix key
 //
 //     key(t) = ((id * s_1 + c_1) * s_2 + c_2) ... * s_k + c_k
@@ -14,21 +14,20 @@
 // — so a fused segment is bit-identical to k single-level passes while
 // touching the relation once instead of k times. Drivers split a chain
 // into segments whose radix fits the dense array or a u64 flat key
-// (query/group_ids.cpp does the planning; kernels just execute one
-// segment over one range).
+// (query/group_ids.cpp does the planning; a kernel executes one segment
+// as one sequential sweep).
 //
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
-// every tier — baseline scalar, SSE4.2, AVX2, AVX-512 — assigns exactly
-// the same first-appearance ids, records the same key list, and throws the
-// same exception on malformed bases. The SIMD variants may batch the
-// bounds check (an exception fires before any tuple of the offending batch
-// is processed, instead of mid-batch), which is only observable on the
+// every tier — baseline scalar, AVX2, AVX-512 — assigns exactly the same
+// first-appearance ids, returns the same fresh count, and throws the same
+// exception on malformed bases. The SIMD variants may batch the bounds
+// check (an exception fires before any tuple of the offending batch is
+// processed, instead of mid-batch), which is only observable on the
 // exception path.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/cpu_features.h"
@@ -51,7 +50,7 @@ struct Level {
   bool has_nulls = false;           ///< whether kNullCode can appear at all
 };
 
-/// Inputs of one fused refinement pass over the tuple range [lo, hi).
+/// Inputs of one fused refinement pass over tuples [0, n).
 ///
 /// Contracts shared by every kernel:
 ///   * `base_ids == nullptr` means the trivial one-group base (id 0).
@@ -62,18 +61,14 @@ struct Level {
 ///   * `out` may alias `base_ids`: every slot is read before written.
 ///   * `live != nullptr` (tombstone bitmap; 0 = dead row skipped) implies
 ///     `out == nullptr` — only count-only passes filter.
-///   * `keys_out`, when set, receives the packed key of every fresh id in
-///     assignment order (the parallel merge consumes this).
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;
   uint64_t base_groups = 1;
   const Level* levels = nullptr;
   size_t level_count = 0;
-  size_t lo = 0;
-  size_t hi = 0;
+  size_t n = 0;
   uint32_t* out = nullptr;
   const uint8_t* live = nullptr;
-  std::vector<uint64_t>* keys_out = nullptr;
 };
 
 /// Direct-indexed pass: `dense` has one cell per possible packed key,
@@ -90,17 +85,12 @@ using DenseRefineFn = uint32_t (*)(const RefineArgs& args, uint32_t* dense,
 using FlatRefineFn = uint32_t (*)(const RefineArgs& args,
                                   util::FlatIdTable& table, uint32_t fresh);
 
-/// Rewrite pass of the parallel path: ids[t] = remap[ids[t]] over [lo, hi).
-using RemapFn = void (*)(uint32_t* ids, size_t lo, size_t hi,
-                         const uint32_t* remap);
-
 /// One dispatch tier's kernels. Instances are immutable statics; the
 /// registry publishes a pointer to the active one.
 struct KernelSet {
   util::CpuTier tier;
   DenseRefineFn dense_refine;
   FlatRefineFn flat_refine;
-  RemapFn remap;
 };
 
 /// Largest dense array any driver may admit (cells). Bounded by 2^31 so
@@ -118,19 +108,15 @@ const KernelSet& Active();
 /// Best tier the host CPU + OS support (independent of any override).
 util::CpuTier DetectedTier();
 
-/// Tier of the currently active kernel set (after env/CLI overrides).
+/// Tier of the currently active kernel set (after any override).
 util::CpuTier SelectedTier();
 
 /// \brief Forces the active kernel set to `tier`, clamped to what the host
 /// supports; returns the tier actually installed. Used by the
-/// --cpu-features flag, the tier-identity fuzz suite, and bench_kernels.
-/// Not thread-safe against concurrent refinement passes — call at startup
-/// or between passes.
+/// tier-identity fuzz suite and bench_kernels; processes take their
+/// override from FDEVOLVE_CPU_FEATURES. Not thread-safe against concurrent
+/// refinement passes — call at startup or between passes.
 util::CpuTier ForceTier(util::CpuTier tier);
-
-/// ForceTier by name; throws std::invalid_argument on unknown names
-/// (valid: baseline|sse42|avx2|avx512).
-util::CpuTier ForceTierByName(const std::string& name);
 
 /// Tiers this process can actually run (compiled in AND host-supported),
 /// ascending. Always contains kBaseline.

@@ -1,7 +1,7 @@
 // Scalar reference loops shared by the baseline kernel set and the tail /
 // fallback paths of every SIMD tier. These ARE the semantics: a vector
 // kernel is correct iff it is observationally identical to these loops
-// (same ids, same key lists, same exceptions), which is what the
+// (same ids, same fresh count, same exceptions), which is what the
 // dispatch-tier fuzz suite asserts.
 #pragma once
 
@@ -15,7 +15,6 @@ namespace fdevolve::query::kernels {
 #if defined(FDEVOLVE_X86_KERNELS)
 // Defined in kernels_<tier>.cpp (compiled with per-file -m flags); only
 // the registry in kernels.cpp references them.
-extern const KernelSet kSse42Kernels;
 extern const KernelSet kAvx2Kernels;
 extern const KernelSet kAvx512Kernels;
 #endif
@@ -61,7 +60,6 @@ inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
     if (id == util::FlatIdTable::kVacant) {
       id = fresh++;
       dense[key] = id;
-      if (a.keys_out != nullptr) a.keys_out->push_back(key);
     }
     if (a.out != nullptr) a.out[t] = id;
   }
@@ -76,18 +74,10 @@ inline uint32_t FlatRefineRange(const RefineArgs& a, util::FlatIdTable& table,
     const uint64_t key = PackedKey(a, t);
     bool inserted = false;
     const uint32_t id = table.FindOrInsert(key, fresh, &inserted);
-    if (inserted) {
-      if (a.keys_out != nullptr) a.keys_out->push_back(key);
-      ++fresh;
-    }
+    if (inserted) ++fresh;
     if (a.out != nullptr) a.out[t] = id;
   }
   return fresh;
-}
-
-inline void RemapRange(uint32_t* ids, size_t lo, size_t hi,
-                       const uint32_t* remap) {
-  for (size_t t = lo; t < hi; ++t) ids[t] = remap[ids[t]];
 }
 
 }  // namespace detail

@@ -47,10 +47,7 @@ void Service::BuildEntries(
   for (const auto& m : monitors) {
     TableEntry* entry = tables_.at(m.table).get();
     auto& monitor = m.state.reservoir ? entry->sampled : entry->monitor;
-    // threads=1: session threads provide the concurrency; a nested
-    // evaluator pool per table would oversubscribe the machine.
-    monitor = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state,
-                                                  /*threads=*/1);
+    monitor = std::make_unique<fd::SchemaMonitor>(entry->rel, m.state);
     InstallDriftCallback(entry, monitor.get(), m.table);
   }
 }
@@ -237,8 +234,7 @@ Service::Result Service::ExecuteLine(SessionId id, const std::string& line) {
                                 entry->rel, std::vector<fd::Fd>{}, interval,
                                 declare->sample_size, declare->sample_seed)
                           : std::make_unique<fd::SchemaMonitor>(
-                                entry->rel, std::vector<fd::Fd>{}, interval,
-                                /*threads=*/1);
+                                entry->rel, std::vector<fd::Fd>{}, interval);
         InstallDriftCallback(entry, monitor.get(), declare->table);
       } else if (declare->check_interval != 0 &&
                  declare->check_interval != monitor->check_interval()) {

@@ -28,11 +28,8 @@ CpuFeatures Probe() {
   unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return f;
 
-  constexpr unsigned kSse42Bit = 1u << 20;    // CPUID.1:ECX.SSE4_2
   constexpr unsigned kOsxsaveBit = 1u << 27;  // CPUID.1:ECX.OSXSAVE
   constexpr unsigned kAvxBit = 1u << 28;      // CPUID.1:ECX.AVX
-  f.sse42 = (ecx & kSse42Bit) != 0;
-
   const bool osxsave = (ecx & kOsxsaveBit) != 0;
   const bool avx = (ecx & kAvxBit) != 0;
   if (!osxsave || !avx) return f;
@@ -77,8 +74,6 @@ const char* CpuTierName(CpuTier tier) {
   switch (tier) {
     case CpuTier::kBaseline:
       return "baseline";
-    case CpuTier::kSse42:
-      return "sse42";
     case CpuTier::kAvx2:
       return "avx2";
     case CpuTier::kAvx512:
@@ -90,8 +85,6 @@ const char* CpuTierName(CpuTier tier) {
 bool ParseCpuTier(const std::string& name, CpuTier* tier) {
   if (name == "baseline") {
     *tier = CpuTier::kBaseline;
-  } else if (name == "sse42") {
-    *tier = CpuTier::kSse42;
   } else if (name == "avx2") {
     *tier = CpuTier::kAvx2;
   } else if (name == "avx512") {

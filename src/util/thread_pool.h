@@ -1,6 +1,6 @@
 // Shared thread pool and the `ParallelFor` range primitive — the execution
-// layer under the parallel refinement passes, the repair search's candidate
-// batches, and the ε_EB ranking loop.
+// layer under the repair search's candidate batches and the ε_EB ranking
+// loop.
 //
 // The design follows the morsel-driven shape of the DuckDB/Hyrise schedulers
 // the related-work set documents, shrunk to what this codebase needs:

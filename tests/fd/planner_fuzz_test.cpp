@@ -169,7 +169,7 @@ TEST_P(PlannerFuzz, TombstonedInstancesSameRepairsAfterCompaction) {
 
 TEST_P(PlannerFuzz, ForcedBaselineTierSameRepairs) {
   const util::CpuTier before = query::kernels::SelectedTier();
-  query::kernels::ForceTierByName("baseline");
+  query::kernels::ForceTier(util::CpuTier::kBaseline);
   util::Rng rng(seed() + 13);
   Relation rel = RandomRelation(seed() + 13, 6, 300, 3);
   fd::Fd f = RandomFd(rng, 6);
@@ -195,7 +195,7 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
       }
     }
     const auto stats = query::ComputeColumnStats(rel);
-    query::DistinctEvaluator eval(rel, 1);
+    query::DistinctEvaluator eval(rel);
     const size_t live = rel.live_count();
     for (int trial = 0; trial < 20; ++trial) {
       AttrSet s;

@@ -5,7 +5,9 @@
 // every thread count — repairs, their measures (including the floating-
 // point confidence), and all stats except wall time. This suite runs the
 // same randomized instances through threads=1 and the parallel widths and
-// demands exact equality. Reproducible via --seed=N / FDEVOLVE_SEED.
+// demands exact equality. The deletion repair has no width of its own; it
+// is run from concurrent pool workers instead. Reproducible via --seed=N /
+// FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,6 +18,7 @@
 #include "relation/relation.h"
 #include "support/fuzz_seed.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fdevolve {
 namespace {
@@ -189,18 +192,28 @@ TEST_P(ParallelSearchFuzz, RankEbBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(ParallelSearchFuzz, DeletionRepairIdenticalAcrossThreadCounts) {
-  // Big enough that the default-grain grouping passes genuinely chunk.
+  // k pool workers repair the same shared relation at once, each through
+  // its own grouping passes; every one must match the lone sequential run.
   Relation rel = RandomRelation(seed() + 41, 5, 70000, 12);
   util::Rng rng(seed() + 41);
   fd::Fd f = RandomFd(rng, 5);
-  auto expected = discovery::RepairByDeletion(rel, f, 1);
-  const size_t expected_pairs = discovery::CountViolatingPairs(rel, f, 1);
+  auto expected = discovery::RepairByDeletion(rel, f);
+  const size_t expected_pairs = discovery::CountViolatingPairs(rel, f);
   for (int k : {4, 8}) {
-    auto got = discovery::RepairByDeletion(rel, f, k);
-    EXPECT_EQ(got.deleted, expected.deleted) << "threads=" << k;
-    EXPECT_EQ(got.kept, expected.kept) << "threads=" << k;
-    EXPECT_EQ(discovery::CountViolatingPairs(rel, f, k), expected_pairs)
-        << "threads=" << k;
+    std::vector<discovery::DataRepairResult> got(static_cast<size_t>(k));
+    std::vector<size_t> pairs(static_cast<size_t>(k));
+    util::ThreadPool::Global().ParallelFor(
+        got.size(), 1, k, [&](int, size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            got[i] = discovery::RepairByDeletion(rel, f);
+            pairs[i] = discovery::CountViolatingPairs(rel, f);
+          }
+        });
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].deleted, expected.deleted) << "threads=" << k;
+      EXPECT_EQ(got[i].kept, expected.kept) << "threads=" << k;
+      EXPECT_EQ(pairs[i], expected_pairs) << "threads=" << k;
+    }
   }
 }
 

@@ -1,12 +1,11 @@
 // Cross-tier identity fuzzing for the SIMD kernel dispatch layer.
 //
-// Every tier this host can run (SSE4.2/AVX2/AVX-512 on top of the always-
-// present baseline scalar) must reproduce the baseline kernels BIT-FOR-BIT:
+// Every tier this host can run (AVX2/AVX-512 on top of the always-present
+// baseline scalar) must reproduce the baseline kernels BIT-FOR-BIT:
 // identical first-appearance group ids, identical group counts, identical
 // measure doubles — not merely equivalent partitions. The suite hammers
 // that contract on randomized instances covering NULL-bearing columns,
-// tombstoned rows, post-compaction relations, and parallel chunking (small
-// grain forces the chunk-merge path even on tiny inputs). Reproducible via
+// tombstoned rows, and post-compaction relations. Reproducible via
 // --seed=N / FDEVOLVE_SEED.
 #include <gtest/gtest.h>
 
@@ -106,7 +105,7 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
       const int refine_attr = static_cast<int>(rng.Below(n_attrs));
       const fd::Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
 
-      // Baseline truth, sequential.
+      // Baseline truth.
       query::kernels::ForceTier(util::CpuTier::kBaseline);
       const auto ref_group = query::GroupBy(rel, attrs);
       const size_t ref_count = query::GroupCountBy(rel, attrs);
@@ -115,25 +114,20 @@ TEST_P(KernelTierFuzz, AllTiersMatchBaselineBitForBit) {
 
       for (util::CpuTier tier : tiers) {
         query::kernels::ForceTier(tier);
-        for (int threads : {1, 3}) {
-          query::RefineScratch s;
-          s.threads = threads;
-          s.grain = 32;  // force chunking even on these tiny instances
-          const std::string ctx = std::string(util::CpuTierName(tier)) +
-                                  " threads=" + std::to_string(threads) +
-                                  " round=" + std::to_string(round) +
-                                  " trial=" + std::to_string(trial);
-          const auto g = query::GroupBy(rel, attrs, s);
-          EXPECT_EQ(g.ids, ref_group.ids) << ctx;
-          EXPECT_EQ(g.group_count, ref_group.group_count) << ctx;
-          EXPECT_EQ(query::GroupCountBy(rel, attrs, s), ref_count) << ctx;
-          const auto r = query::RefineBy(rel, g, refine_attr, s);
-          EXPECT_EQ(r.ids, ref_refine.ids) << ctx;
-          EXPECT_EQ(r.group_count, ref_refine.group_count) << ctx;
-          const auto m = fd::ComputeMeasures(rel, fd);
-          EXPECT_EQ(m.confidence, ref_measures.confidence) << ctx;
-          EXPECT_EQ(m.goodness, ref_measures.goodness) << ctx;
-        }
+        query::RefineScratch s;
+        const std::string ctx = std::string(util::CpuTierName(tier)) +
+                                " round=" + std::to_string(round) +
+                                " trial=" + std::to_string(trial);
+        const auto g = query::GroupBy(rel, attrs, s);
+        EXPECT_EQ(g.ids, ref_group.ids) << ctx;
+        EXPECT_EQ(g.group_count, ref_group.group_count) << ctx;
+        EXPECT_EQ(query::GroupCountBy(rel, attrs, s), ref_count) << ctx;
+        const auto r = query::RefineBy(rel, g, refine_attr, s);
+        EXPECT_EQ(r.ids, ref_refine.ids) << ctx;
+        EXPECT_EQ(r.group_count, ref_refine.group_count) << ctx;
+        const auto m = fd::ComputeMeasures(rel, fd);
+        EXPECT_EQ(m.confidence, ref_measures.confidence) << ctx;
+        EXPECT_EQ(m.goodness, ref_measures.goodness) << ctx;
       }
     }
   }

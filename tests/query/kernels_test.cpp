@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/cpu_features.h"
 
@@ -51,28 +50,26 @@ TEST(KernelDispatchTest, ForceTierClampsToHostMaximum) {
             std::min(CpuTier::kAvx512, DetectedTier()));
 }
 
-TEST(KernelDispatchTest, ForceTierByNameAcceptsCanonicalNames) {
+// The FDEVOLVE_CPU_FEATURES override is ParseCpuTier followed by the same
+// clamp ForceTier applies: every canonical name installs its tier, or the
+// host's best when the name asks for more.
+TEST(KernelDispatchTest, ForceTierAcceptsEveryCanonicalName) {
   RestoreTier restore;
-  EXPECT_EQ(ForceTierByName("baseline"), CpuTier::kBaseline);
-  EXPECT_EQ(SelectedTier(), CpuTier::kBaseline);
+  for (const char* name : {"baseline", "avx2", "avx512"}) {
+    CpuTier tier = CpuTier::kBaseline;
+    ASSERT_TRUE(util::ParseCpuTier(name, &tier)) << name;
+    EXPECT_EQ(ForceTier(tier), std::min(tier, DetectedTier())) << name;
+    EXPECT_EQ(SelectedTier(), std::min(tier, DetectedTier())) << name;
+  }
 }
 
-TEST(KernelDispatchTest, ForceTierByNameRejectsUnknownNames) {
-  RestoreTier restore;
-  const CpuTier before = SelectedTier();
-  EXPECT_THROW(ForceTierByName("avx9000"), std::invalid_argument);
-  EXPECT_THROW(ForceTierByName(""), std::invalid_argument);
-  EXPECT_EQ(SelectedTier(), before);  // failed force leaves selection alone
-}
-
-TEST(KernelDispatchTest, EveryTierProvidesAllThreeKernels) {
+TEST(KernelDispatchTest, EveryTierProvidesBothKernels) {
   RestoreTier restore;
   for (CpuTier tier : SupportedTiers()) {
     ForceTier(tier);
     const KernelSet& ks = Active();
     EXPECT_NE(ks.dense_refine, nullptr) << util::CpuTierName(tier);
     EXPECT_NE(ks.flat_refine, nullptr) << util::CpuTierName(tier);
-    EXPECT_NE(ks.remap, nullptr) << util::CpuTierName(tier);
   }
 }
 

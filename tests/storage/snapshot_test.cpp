@@ -656,7 +656,7 @@ void ExpectPinned(const std::string& bytes, size_t length, uint64_t trailer) {
 
 TEST(SnapshotTest, PinnedExactCheckpointBytes) {
   fd::SchemaMonitor mon(Relation("pin", PinSchema()), {kPinAb, kPinBc},
-                        /*check_interval=*/2, /*threads=*/1);
+                        /*check_interval=*/2);
   for (int64_t i = 0; i < 31; ++i) mon.Insert(PinRow(i));
   fd::MonitorCheckpoint ckpt = mon.Checkpoint();
   ckpt.stream_batch_hint = 3;
@@ -667,7 +667,7 @@ TEST(SnapshotTest, PinnedExactCheckpointBytes) {
   auto loaded = DeserializeCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_FALSE(loaded.checkpoint->reservoir.has_value());
-  fd::SchemaMonitor back(std::move(*loaded.checkpoint), /*threads=*/1);
+  fd::SchemaMonitor back(std::move(*loaded.checkpoint));
   fd::MonitorCheckpoint again = back.Checkpoint();
   again.stream_batch_hint = 3;
   EXPECT_EQ(SerializeCheckpoint(again), bytes);
@@ -701,8 +701,7 @@ TEST(SnapshotTest, PinnedServerStateBytes) {
   db.DeclareFd("pin", kPinAb);
   db.DeclareFd("pin", kPinBc);
   relation::Relation* rel = &db.GetMutable("pin");
-  fd::SchemaMonitor exact(rel, {kPinAb}, /*check_interval=*/3,
-                          /*threads=*/1);
+  fd::SchemaMonitor exact(rel, {kPinAb}, /*check_interval=*/3);
   fd::SchemaMonitor sampled(rel, {kPinBc}, /*check_interval=*/2,
                             /*capacity=*/8, /*seed=*/5);
   for (int64_t i = 0; i < 31; ++i) {
@@ -723,8 +722,7 @@ TEST(SnapshotTest, PinnedServerStateBytes) {
   ASSERT_EQ(monitors.size(), 2u);
   EXPECT_FALSE(monitors[0].state.reservoir.has_value());
   EXPECT_TRUE(monitors[1].state.reservoir.has_value());
-  fd::SchemaMonitor exact_back(&back.GetMutable("pin"), monitors[0].state,
-                               /*threads=*/1);
+  fd::SchemaMonitor exact_back(&back.GetMutable("pin"), monitors[0].state);
   fd::SchemaMonitor sampled_back(&back.GetMutable("pin"), monitors[1].state);
   EXPECT_EQ(SerializeServerState(back, {{"pin", exact_back.State()},
                                         {"pin", sampled_back.State()}}),

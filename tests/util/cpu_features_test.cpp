@@ -11,7 +11,6 @@ TEST(CpuFeaturesTest, DetectionIsCachedAndStable) {
   const CpuFeatures& a = DetectCpuFeatures();
   const CpuFeatures& b = DetectCpuFeatures();
   EXPECT_EQ(&a, &b);  // probed once, same cached instance
-  EXPECT_EQ(a.sse42, b.sse42);
   EXPECT_EQ(a.avx2, b.avx2);
   EXPECT_EQ(a.avx512, b.avx512);
 }
@@ -23,16 +22,11 @@ TEST(CpuFeaturesTest, TiersImplyLowerOnes) {
   if (f.avx512) {
     EXPECT_TRUE(f.avx2);
   }
-  if (f.avx2) {
-    EXPECT_TRUE(f.sse42);
-  }
 }
 
 TEST(CpuFeaturesTest, MaxTierMatchesFlags) {
   CpuFeatures f;
   EXPECT_EQ(f.max_tier(), CpuTier::kBaseline);
-  f.sse42 = true;
-  EXPECT_EQ(f.max_tier(), CpuTier::kSse42);
   f.avx2 = true;
   EXPECT_EQ(f.max_tier(), CpuTier::kAvx2);
   f.avx512 = true;
@@ -40,8 +34,7 @@ TEST(CpuFeaturesTest, MaxTierMatchesFlags) {
 }
 
 TEST(CpuFeaturesTest, TierNamesRoundTripThroughParse) {
-  for (CpuTier tier : {CpuTier::kBaseline, CpuTier::kSse42, CpuTier::kAvx2,
-                       CpuTier::kAvx512}) {
+  for (CpuTier tier : {CpuTier::kBaseline, CpuTier::kAvx2, CpuTier::kAvx512}) {
     CpuTier parsed = CpuTier::kAvx512;  // poison with a different value
     ASSERT_TRUE(ParseCpuTier(CpuTierName(tier), &parsed)) << CpuTierName(tier);
     EXPECT_EQ(parsed, tier);
@@ -49,10 +42,11 @@ TEST(CpuFeaturesTest, TierNamesRoundTripThroughParse) {
 }
 
 TEST(CpuFeaturesTest, ParseRejectsUnknownNamesAndLeavesOutputAlone) {
-  for (const char* bad : {"", "AVX2", "avx", "sse4.2", "avx512f", "scalar"}) {
-    CpuTier tier = CpuTier::kSse42;
+  for (const char* bad :
+       {"", "AVX2", "avx", "sse4.2", "avx512f", "scalar", "sse42"}) {
+    CpuTier tier = CpuTier::kAvx2;
     EXPECT_FALSE(ParseCpuTier(bad, &tier)) << "'" << bad << "'";
-    EXPECT_EQ(tier, CpuTier::kSse42) << "'" << bad << "'";
+    EXPECT_EQ(tier, CpuTier::kAvx2) << "'" << bad << "'";
   }
 }
 
