@@ -2,8 +2,10 @@
 //
 // For every SIMD tier this host can run (baseline scalar is always there;
 // AVX2/AVX-512 when detected), measures ns/tuple for the two dispatched
-// inner loops — dense gather refine and flat hash refine — plus the
-// fused-chain vs per-level-chain comparison that motivates segment fusion.
+// inner loops — the dense gather refine in each shape its loop serves
+// (one-level materializing, one-level count-only, tombstone-masked
+// count-only) and the flat hash refine — plus the fused-chain vs
+// per-level-chain comparison that motivates segment fusion.
 //
 // The bench doubles as a correctness gate: every tier, over clean AND
 // tombstoned relations, must produce bit-identical group ids, group
@@ -65,6 +67,8 @@ double BestMs(Fn fn) {
 
 struct TierNumbers {
   double dense_ns = 0.0;   ///< ns/tuple, dense gather refine
+  double count_ns = 0.0;   ///< ns/tuple, dense count-only refine
+  double masked_count_ns = 0.0;  ///< ns/tuple, same over tombstoned rows
   double flat_ns = 0.0;    ///< ns/tuple, flat hash refine
   double fused_ms = 0.0;   ///< 3-attr GroupBy, fused chain
 };
@@ -100,16 +104,22 @@ int main() {
   const auto ref_measures = fd::ComputeMeasures(rel, fd);
   const auto base0 = query::GroupBy(rel, relation::AttrSet::Of({0}));
   const auto ref_refine = query::RefineBy(rel, base0, 3);
+  const auto base0_del = query::GroupBy(rel_del, relation::AttrSet::Of({0}));
+  const auto attr3 = relation::AttrSet::Of({3});
+  const size_t ref_refine_count = query::RefineCountBy(rel, base0, attr3);
+  const size_t ref_refine_del = query::RefineCountBy(rel_del, base0_del, attr3);
 
   const auto tiers = query::kernels::SupportedTiers();
   std::map<std::string, TierNumbers> results;
   double baseline_dense = 0.0, baseline_flat = 0.0;
+  double baseline_count = 0.0, baseline_masked_count = 0.0;
   double fused_ms_best_tier = 0.0, per_level_ms_best_tier = 0.0;
 
   util::TablePrinter table("kernel tiers (" + std::to_string(n) +
                            " tuples, ns/tuple, best of " +
                            std::to_string(kReps) + ")");
-  table.SetHeader({"tier", "dense", "flat", "fused 3-attr ms"});
+  table.SetHeader({"tier", "dense", "count", "masked count", "flat",
+                   "fused 3-attr ms"});
 
   for (util::CpuTier tier : tiers) {
     query::kernels::ForceTier(tier);
@@ -120,6 +130,16 @@ int main() {
     query::RefineScratch scratch;
     nums.dense_ns =
         BestMs([&] { query::RefineBy(rel, base0, 3, scratch); }) * 1e6 / n;
+    // The same refinement count-only (what the repair search runs per
+    // candidate), then over the tombstoned twin (live-masked loop).
+    nums.count_ns =
+        BestMs([&] { query::RefineCountBy(rel, base0, attr3, scratch); }) *
+        1e6 / n;
+    nums.masked_count_ns = BestMs([&] {
+                             query::RefineCountBy(rel_del, base0_del, attr3,
+                                                  scratch);
+                           }) *
+                           1e6 / n;
 
     // Flat hash refine: 4-attr count whose radix overflows the dense
     // limit, so the whole chain runs through FlatIdTable.
@@ -140,12 +160,15 @@ int main() {
     if (tier == util::CpuTier::kBaseline) {
       baseline_dense = nums.dense_ns;
       baseline_flat = nums.flat_ns;
+      baseline_count = nums.count_ns;
+      baseline_masked_count = nums.masked_count_ns;
     }
     // The last (= highest) tier's chain numbers headline the JSON.
     fused_ms_best_tier = nums.fused_ms;
     per_level_ms_best_tier = per_level_ms;
 
-    table.AddRow({name, Fmt(nums.dense_ns), Fmt(nums.flat_ns),
+    table.AddRow({name, Fmt(nums.dense_ns), Fmt(nums.count_ns),
+                  Fmt(nums.masked_count_ns), Fmt(nums.flat_ns),
                   Fmt(nums.fused_ms)});
     results[name] = nums;
 
@@ -164,6 +187,10 @@ int main() {
     const auto r = query::RefineBy(rel, base0, 3, s);
     Gate(r.ids == ref_refine.ids && r.group_count == ref_refine.group_count,
          ctx + "RefineBy ids/count");
+    Gate(query::RefineCountBy(rel, base0, attr3, s) == ref_refine_count,
+         ctx + "RefineCountBy");
+    Gate(query::RefineCountBy(rel_del, base0_del, attr3, s) == ref_refine_del,
+         ctx + "RefineCountBy (tombstoned)");
     const auto m = fd::ComputeMeasures(rel, fd);
     Gate(m.confidence == ref_measures.confidence &&
              m.goodness == ref_measures.goodness,
@@ -185,11 +212,17 @@ int main() {
        << "  \"tiers_tested\": " << tiers.size() << ",\n"
        << "  \"baseline\": {\n"
        << "    \"dense_ns_per_tuple\": " << baseline_dense << ",\n"
+       << "    \"count_ns_per_tuple\": " << baseline_count << ",\n"
+       << "    \"masked_count_ns_per_tuple\": " << baseline_masked_count
+       << ",\n"
        << "    \"flat_ns_per_tuple\": " << baseline_flat << "\n"
        << "  },\n"
        << "  \"best_tier\": {\n"
        << "    \"name\": \"" << best << "\",\n"
        << "    \"dense_ns_per_tuple\": " << top.dense_ns << ",\n"
+       << "    \"count_ns_per_tuple\": " << top.count_ns << ",\n"
+       << "    \"masked_count_ns_per_tuple\": " << top.masked_count_ns
+       << ",\n"
        << "    \"flat_ns_per_tuple\": " << top.flat_ns << ",\n"
        << "    \"dense_speedup\": "
        << (top.dense_ns > 0 ? baseline_dense / top.dense_ns : 0.0) << ",\n"

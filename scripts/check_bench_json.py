@@ -72,9 +72,13 @@ SCHEMAS = {
         "tuples": positive,
         "tiers_tested": positive,
         "baseline.dense_ns_per_tuple": positive,
+        "baseline.count_ns_per_tuple": positive,
+        "baseline.masked_count_ns_per_tuple": positive,
         "baseline.flat_ns_per_tuple": positive,
         "best_tier.name": non_empty_string,
         "best_tier.dense_ns_per_tuple": positive,
+        "best_tier.count_ns_per_tuple": positive,
+        "best_tier.masked_count_ns_per_tuple": positive,
         "best_tier.flat_ns_per_tuple": positive,
         "best_tier.dense_speedup": positive,
         "best_tier.flat_speedup": positive,

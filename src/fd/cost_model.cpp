@@ -33,6 +33,35 @@ double CostModel::CandidateCostMs(int attr) const {
   return (sweep_ns + key_ns) * 1e-6;
 }
 
+CostModel::Branch CostModel::ScoreBranch(int attr, size_t base_x,
+                                         size_t base_xy,
+                                         size_t top_slot_product,
+                                         double target) const {
+  Branch b;
+  b.attr = attr;
+  b.reachable_bound = ReachableDistinctBound(base_x, attr, top_slot_product);
+  b.cost_ms = CandidateCostMs(attr);
+  if (base_xy == 0) {
+    b.best_confidence = 1.0;
+    return b;
+  }
+  const double ratio = static_cast<double>(b.reachable_bound) /
+                       static_cast<double>(base_xy);
+  b.best_confidence = std::min(1.0, ratio);
+  b.prunable =
+      target >= 1.0 ? b.reachable_bound < base_xy : ratio < target;
+  return b;
+}
+
+bool CostModel::SpendsBefore(const Branch& a, const Branch& b) {
+  if (a.prunable != b.prunable) return !a.prunable;
+  if (a.best_confidence != b.best_confidence) {
+    return a.best_confidence > b.best_confidence;
+  }
+  if (a.cost_ms != b.cost_ms) return a.cost_ms < b.cost_ms;
+  return a.attr < b.attr;
+}
+
 std::vector<size_t> CostModel::TopSlotProducts(const relation::AttrSet& pool,
                                                int max_extra) const {
   std::vector<size_t> slots;

@@ -71,6 +71,28 @@ class CostModel {
                         top_slot_product));
   }
 
+  /// One candidate branch — the antecedent extension by `attr` and every
+  /// superset of it within the depth limit — as a budget spends it.
+  struct Branch {
+    int attr = -1;
+    size_t reachable_bound = 0;    ///< ReachableDistinctBound of the branch
+    double best_confidence = 0.0;  ///< min(1, reachable_bound / |π_XUY|)
+    double cost_ms = 0.0;          ///< CandidateCostMs(attr)
+    bool prunable = false;         ///< no set below can meet the target
+  };
+
+  /// Scores the branch that adds `attr` to a base with |π_XU| = base_x and
+  /// |π_XUY| = base_xy. `prunable` is the search's prune test: exactness
+  /// (target >= 1) is decided on integers, approximate targets on the
+  /// correctly-rounded ratio.
+  Branch ScoreBranch(int attr, size_t base_x, size_t base_xy,
+                     size_t top_slot_product, double target) const;
+
+  /// Budget spend order, shared by the plan and the executing search:
+  /// unprunable first, then high-signal (best confidence descending), then
+  /// cheap (cost ascending), then attribute index for full determinism.
+  static bool SpendsBefore(const Branch& a, const Branch& b);
+
  private:
   std::vector<query::ColumnStats> stats_;
   size_t live_rows_ = 0;

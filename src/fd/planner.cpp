@@ -57,39 +57,28 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
     c.group_slots = s.group_slots();
     c.max_group_rows = s.max_group_rows;
     c.null_fraction = s.null_fraction;
-    c.est_cost_ms = model.CandidateCostMs(a);
     c.distinct_bound =
         model.ReachableDistinctBound(plan.original.distinct_x, a, 1);
-    c.reachable_bound =
-        model.ReachableDistinctBound(plan.original.distinct_x, a,
-                                     reach_product);
-    c.best_confidence =
-        xy == 0 ? 1.0
-                : std::min(1.0, static_cast<double>(c.reachable_bound) /
-                                    static_cast<double>(xy));
-    // Mirror of the executing search's prune test: exactness is decided on
-    // integers, approximate targets on the correctly-rounded ratio.
-    c.prunable = plan.target_confidence >= 1.0
-                     ? c.reachable_bound < xy
-                     : static_cast<double>(c.reachable_bound) /
-                               static_cast<double>(xy) <
-                           plan.target_confidence;
+    // The executing search scores (and prunes) its seeds with the same
+    // call, so the plan's marks and order are the ones Extend follows.
+    const CostModel::Branch b = model.ScoreBranch(
+        a, plan.original.distinct_x, xy, reach_product,
+        plan.target_confidence);
+    c.est_cost_ms = b.cost_ms;
+    c.reachable_bound = b.reachable_bound;
+    c.best_confidence = b.best_confidence;
+    c.prunable = b.prunable;
     if (!c.prunable) plan.planned_cost_ms += c.est_cost_ms;
     plan.candidates.push_back(c);
   }
 
-  // Budget-spending order: high-signal first, cheap first among ties, then
-  // attribute index for full determinism. Prunable branches sink.
+  const auto branch = [](const PlannedCandidate& c) {
+    return CostModel::Branch{c.attr, c.reachable_bound, c.best_confidence,
+                             c.est_cost_ms, c.prunable};
+  };
   std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
-                   [](const PlannedCandidate& a, const PlannedCandidate& b) {
-                     if (a.prunable != b.prunable) return !a.prunable;
-                     if (a.best_confidence != b.best_confidence) {
-                       return a.best_confidence > b.best_confidence;
-                     }
-                     if (a.est_cost_ms != b.est_cost_ms) {
-                       return a.est_cost_ms < b.est_cost_ms;
-                     }
-                     return a.attr < b.attr;
+                   [&](const PlannedCandidate& a, const PlannedCandidate& b) {
+                     return CostModel::SpendsBefore(branch(a), branch(b));
                    });
   return plan;
 }

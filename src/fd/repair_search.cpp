@@ -147,7 +147,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   // in order; `base_x`/`base_xy` are the parent's |π_XU| and |π_XUY|
   // counts, which seed the planner's bounds. Returns false when a budget
   // stopped the batch.
-  std::vector<int> budget_order;
+  std::vector<CostModel::Branch> branches;
   auto evaluate_batch = [&](const relation::AttrSet& base_added,
                             const std::vector<int>& attrs, size_t base_x,
                             size_t base_xy) -> bool {
@@ -159,27 +159,21 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
         model && depth <= max_depth
             ? reach_products[static_cast<size_t>(max_depth - depth)]
             : 0;
-    const std::vector<int>* order = &attrs;
-    if (budgeted) {
-      // A budget is spent cheap/high-signal-first: reorder the batch by
-      // reachable-cardinality bound descending (closer to |π_XUY| = more
-      // confidence available), modeled cost ascending, then attribute
-      // index. Reordering shifts seq tie-breaks, so budgeted runs trade
-      // the bit-identity guarantee for better use of the budget.
-      budget_order = attrs;
-      std::stable_sort(
-          budget_order.begin(), budget_order.end(), [&](int a, int b) {
-            const size_t ba = model->ReachableDistinctBound(base_x, a, reach);
-            const size_t bb = model->ReachableDistinctBound(base_x, b, reach);
-            if (ba != bb) return ba > bb;
-            const double ca = model->CandidateCostMs(a);
-            const double cb = model->CandidateCostMs(b);
-            if (ca != cb) return ca < cb;
-            return a < b;
-          });
-      order = &budget_order;
+    branches.clear();
+    for (int a : attrs) {
+      branches.push_back(
+          model ? model->ScoreBranch(a, base_x, base_xy, reach, target)
+                : CostModel::Branch{a});
     }
-    for (int a : *order) {
+    if (budgeted) {
+      // A budget is spent in the plan's order (CostModel::SpendsBefore,
+      // what EXPLAIN REPAIR lists). Reordering shifts seq tie-breaks, so
+      // budgeted runs trade the bit-identity guarantee for better use of
+      // the budget.
+      std::stable_sort(branches.begin(), branches.end(),
+                       CostModel::SpendsBefore);
+    }
+    for (const CostModel::Branch& b : branches) {
       // Budget checks before dedup, per candidate — the order the
       // sequential evaluate-and-push used.
       if (opts.max_evaluations != 0 &&
@@ -194,30 +188,22 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
         budget_hit = true;
         break;
       }
-      const double cost = model ? model->CandidateCostMs(a) : 0.0;
       if (opts.budget_cost > 0.0 &&
-          result.stats.planned_cost_ms + cost > opts.budget_cost) {
+          result.stats.planned_cost_ms + b.cost_ms > opts.budget_cost) {
         result.stats.stop_reason = StopReason::kBudget;
         budget_hit = true;
         break;
       }
-      relation::AttrSet added = base_added.With(a);
+      relation::AttrSet added = base_added.With(b.attr);
       if (!visited.insert(added).second) continue;  // duplicate set
-      if (opts.use_planner && model) {
-        const size_t ub = model->ReachableDistinctBound(base_x, a, reach);
-        const bool reachable =
-            target >= 1.0 ? ub >= base_xy
-                          : static_cast<double>(ub) /
-                                    static_cast<double>(base_xy) >=
-                                target;
-        if (!reachable) {  // no acceptable set below this branch
-          ++result.stats.pruned_by_bound;
-          continue;
-        }
+      if (opts.use_planner && b.prunable) {
+        // No acceptable set below this branch.
+        ++result.stats.pruned_by_bound;
+        continue;
       }
-      result.stats.planned_cost_ms += cost;
+      result.stats.planned_cost_ms += b.cost_ms;
       batch_sets.push_back(std::move(added));
-      batch_attrs.push_back(a);
+      batch_attrs.push_back(b.attr);
     }
 
     batch_measures.assign(batch_sets.size(), FdMeasures{});

@@ -43,8 +43,9 @@ void BuildLevels(const relation::Relation& rel, const int* cols, size_t k,
 /// pass can take. Prefers the longest *dense-admitted* prefix (packed
 /// radix <= DenseLimit(n)); when even the first level does not fit the
 /// dense array, takes the longest prefix whose packed key fits u64 for
-/// the flat path. Returns the level count and reports the segment radix
-/// (`*cells_out`) and which path was planned.
+/// the flat path. A segment never exceeds kernels::kMaxFusedLevels levels.
+/// Returns the level count and reports the segment radix (`*cells_out`)
+/// and which path was planned.
 ///
 /// Segment boundaries never affect results — each segment assigns
 /// first-appearance ids over the prefix packing, which composes to the
@@ -52,6 +53,7 @@ void BuildLevels(const relation::Relation& rel, const int* cols, size_t k,
 size_t PlanSegment(uint64_t groups, const kernels::Level* levels,
                    size_t nlevels, size_t n, uint64_t* cells_out,
                    bool* dense_out) {
+  nlevels = std::min(nlevels, kernels::kMaxFusedLevels);
   const uint64_t dense_limit = DenseLimit(n);
   uint64_t prod = groups;
   size_t take = 0;

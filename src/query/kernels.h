@@ -17,6 +17,15 @@
 // (query/group_ids.cpp does the planning; a kernel executes one segment
 // as one sequential sweep).
 //
+// Each SIMD tier runs one dense loop, a template whose shape — tombstone
+// mask, count-only, single level — is fixed at compile time and which
+// copies the segment's level descriptors into locals before the sweep,
+// plus one flat kernel. The per-ISA files (kernels_avx2.cpp,
+// kernels_avx512.cpp) hold only that vector code; every scalar helper they
+// share (sub-range tails, the flat probe phase, the bounds-check throw) is
+// defined once in kernels.cpp, built for the baseline target, so no
+// per-ISA object exports code a baseline caller could link to.
+//
 // Identity contract (enforced by tests/query/kernel_tier_fuzz_test.cpp):
 // every tier — baseline scalar, AVX2, AVX-512 — assigns exactly the same
 // first-appearance ids, returns the same fresh count, and throws the same
@@ -61,6 +70,8 @@ struct Level {
 ///   * `out` may alias `base_ids`: every slot is read before written.
 ///   * `live != nullptr` (tombstone bitmap; 0 = dead row skipped) implies
 ///     `out == nullptr` — only count-only passes filter.
+///   * `level_count <= kMaxFusedLevels` — the segment planner never plans
+///     more.
 struct RefineArgs {
   const uint32_t* base_ids = nullptr;
   uint64_t base_groups = 1;
@@ -96,6 +107,12 @@ struct KernelSet {
 /// Largest dense array any driver may admit (cells). Bounded by 2^31 so
 /// packed keys stay valid *signed* 32-bit gather indices on every tier.
 constexpr size_t kDenseCellLimit = size_t{1} << 31;
+
+/// Most levels one fused segment carries: the vector tiers copy a
+/// segment's level descriptors into fixed local arrays of this size before
+/// the sweep. Longer chains split into more segments, which never changes
+/// ids (see group_ids.cpp).
+constexpr size_t kMaxFusedLevels = 16;
 
 /// \brief The active kernel set.
 ///

@@ -2,14 +2,15 @@
 // packed-u64 key + splitmix64 hashing for the flat path.
 // Compiled with -mavx2 (per-file flag in src/query/CMakeLists.txt); only
 // ever called after runtime detection, so the rest of the binary stays
-// portable.
+// portable. Vector code only: the scalar tails and the flat probe phase
+// live in kernels.cpp (see kernels_detail.h).
 #include "query/kernels.h"
 
 #if defined(FDEVOLVE_X86_KERNELS)
 
 #include <immintrin.h>
 
-#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "query/kernels_detail.h"
@@ -27,55 +28,25 @@ inline __m256i LiveMask8(const uint8_t* live, size_t t) {
   return _mm256_cmpgt_epi32(lanes, _mm256_setzero_si256());
 }
 
-/// 8 packed keys for tuples [t, t+8): base-id load + bounds check (live
-/// lanes only) + per-level NULL remap and radix accumulate. Dense segments
-/// guarantee every key fits u32 (radix <= 2^31), so the whole computation
-/// stays in 32-bit lanes.
-inline __m256i PackedKeys8(const RefineArgs& a, size_t t, __m256i livemask,
-                           bool masked) {
-  __m256i key;
-  if (a.base_ids != nullptr) {
-    key = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.base_ids + t));
-    if (a.base_groups <= 0xffffffffull) {
-      // id >= groups  <=>  max_u32(id, groups) == id (the unsigned-compare
-      // idiom AVX2 affords; groups is exact since it fits u32 here).
-      const __m256i vgroups =
-          _mm256_set1_epi32(static_cast<int>(a.base_groups));
-      __m256i bad = _mm256_cmpeq_epi32(_mm256_max_epu32(key, vgroups), key);
-      if (masked) bad = _mm256_and_si256(bad, livemask);
-      if (!_mm256_testz_si256(bad, bad)) detail::ThrowBadId();
-    }
-  } else {
-    key = _mm256_setzero_si256();
-  }
-  for (size_t j = 0; j < a.level_count; ++j) {
-    const Level& lv = a.levels[j];
-    __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lv.codes + t));
-    if (lv.has_nulls) {
-      const __m256i isnull = _mm256_cmpeq_epi32(
-          c, _mm256_set1_epi32(static_cast<int>(relation::kNullCode)));
-      c = _mm256_blendv_epi8(
-          c, _mm256_set1_epi32(static_cast<int>(lv.null_slot)), isnull);
-    }
-    key = _mm256_add_epi32(
-        _mm256_mullo_epi32(key,
-                           _mm256_set1_epi32(static_cast<int>(lv.stride))),
-        c);
-  }
-  return key;
+inline uint32_t MissBits8(__m256i miss) {
+  return static_cast<uint32_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(miss)));
 }
 
-/// Resolves one batch's miss lanes (see the AVX-512 twin for the full
-/// rationale): ctz-walked miss bitmask in lane (= tuple) order with a
-/// per-lane re-read, so duplicates inside and across batches still get
-/// first-appearance ids. `id == nullptr` is the count-only form — no id
-/// vector spill/reload.
-inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
-                             uint32_t bits, uint32_t fresh) {
-  alignas(32) uint32_t kk[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key);
-  if (id == nullptr) {
+/// Resolves the miss lanes of one 16-tuple step (two 8-lane batches). The
+/// combined miss bitmask is ctz-walked in lane (= tuple) order and each
+/// missed cell re-read, so duplicates within and across the two batches —
+/// and batch 1's gathers that raced batch 0's inserts and read a stale
+/// kVacant — still get first-appearance ids. Count-only callers skip the
+/// id spill/reload.
+template <bool kCountOnly>
+inline uint32_t FixupMisses(uint32_t* dense, __m256i key0, __m256i key1,
+                            __m256i* id0, __m256i* id1, uint32_t bits,
+                            uint32_t fresh) {
+  alignas(32) uint32_t kk[16];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(kk + 8), key1);
+  if (kCountOnly) {
     while (bits != 0) {
       const int l = __builtin_ctz(bits);
       bits &= bits - 1;
@@ -84,8 +55,9 @@ inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
     }
     return fresh;
   }
-  alignas(32) uint32_t ii[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(ii), *id);
+  alignas(32) uint32_t ii[16];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(ii), *id0);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(ii + 8), *id1);
   while (bits != 0) {
     const int l = __builtin_ctz(bits);
     bits &= bits - 1;
@@ -97,43 +69,48 @@ inline uint32_t FixupMisses8(uint32_t* dense, __m256i key, __m256i* id,
     }
     ii[l] = cur;
   }
-  *id = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii));
+  *id0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii));
+  *id1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii + 8));
   return fresh;
 }
 
-inline uint32_t MissBits8(__m256i miss) {
-  return static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(miss)));
-}
-
-/// Single-level specialization of the dense loop. Refine-by-one-attribute
-/// is the hottest shape the repair search produces, and the generic loop
-/// pays dearly for it: the RefineArgs/Level indirection makes GCC re-load
-/// every field and re-test every runtime flag per 8-tuple batch — measured
-/// ~2.5x over this version, which hoists all batch constants into locals
-/// before the loop and resolves the masked/count-only shape at compile
-/// time.
-template <bool kMasked, bool kCountOnly>
-uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+/// The dense pass, its shape fixed at compile time: kMasked (a tombstone
+/// bitmap is present), kCountOnly (no `out`), kOneLevel (exactly one level
+/// — refine-by-one-attribute, the repair search's hottest shape). Every
+/// batch constant, level descriptors included, is copied into locals before
+/// the sweep: read through RefineArgs/Level, GCC re-loads every field and
+/// re-tests every flag per batch, which measured ~2.5x slower. Dense
+/// segments keep the radix <= 2^31, so every key fits a 32-bit lane.
+template <bool kMasked, bool kCountOnly, bool kOneLevel>
+uint32_t DenseLoop(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+  const size_t n = a.n;
   const uint32_t* const base = a.base_ids;
   const uint8_t* const live = a.live;
   uint32_t* const out = a.out;
-  const Level lv = a.levels[0];
-  const uint32_t* const codes = lv.codes;
+  // id >= groups  <=>  max_u32(id, groups) == id (the unsigned-compare
+  // idiom AVX2 affords; groups is exact since it fits u32 here).
   const bool check = base != nullptr && a.base_groups <= 0xffffffffull;
-  const bool has_nulls = lv.has_nulls;
-  const __m256i vgroups =
-      _mm256_set1_epi32(static_cast<int>(a.base_groups));
-  const __m256i vstride = _mm256_set1_epi32(static_cast<int>(lv.stride));
+  const __m256i vgroups = _mm256_set1_epi32(static_cast<int>(a.base_groups));
   const __m256i vnull =
       _mm256_set1_epi32(static_cast<int>(relation::kNullCode));
-  const __m256i vslot = _mm256_set1_epi32(static_cast<int>(lv.null_slot));
   const __m256i vvacant = _mm256_set1_epi32(-1);
+  const size_t levels = kOneLevel ? 1 : a.level_count;
+  const uint32_t* codes[kMaxFusedLevels] = {};
+  bool has_nulls[kMaxFusedLevels] = {};
+  __m256i vstride[kMaxFusedLevels];
+  __m256i vslot[kMaxFusedLevels];
+  for (size_t j = 0; j < levels; ++j) {
+    const Level& lv = a.levels[j];
+    codes[j] = lv.codes;
+    has_nulls[j] = lv.has_nulls;
+    vstride[j] = _mm256_set1_epi32(static_cast<int>(lv.stride));
+    vslot[j] = _mm256_set1_epi32(static_cast<int>(lv.null_slot));
+  }
 
-  // One batch's key vector: base ids (bounds-checked on live lanes) *
-  // stride + NULL-remapped codes. Everything it reads is a local.
+  // One batch's key vector: base ids (bounds-checked on live lanes), then
+  // per level * stride + NULL-remapped code.
   const auto keys_at = [&](size_t t, __m256i livemask) {
-    __m256i key;
+    __m256i key = _mm256_setzero_si256();
     if (base != nullptr) {
       key = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + t));
       if (check) {
@@ -141,23 +118,31 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
         if (kMasked) bad = _mm256_and_si256(bad, livemask);
         if (!_mm256_testz_si256(bad, bad)) detail::ThrowBadId();
       }
-    } else {
-      key = _mm256_setzero_si256();
     }
-    __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + t));
-    if (has_nulls) {
-      const __m256i isnull = _mm256_cmpeq_epi32(c, vnull);
-      c = _mm256_blendv_epi8(c, vslot, isnull);
+    for (size_t j = 0; j < levels; ++j) {
+      __m256i c =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes[j] + t));
+      if (has_nulls[j]) {
+        c = _mm256_blendv_epi8(c, vslot[j], _mm256_cmpeq_epi32(c, vnull));
+      }
+      key = _mm256_add_epi32(_mm256_mullo_epi32(key, vstride[j]), c);
     }
-    return _mm256_add_epi32(_mm256_mullo_epi32(key, vstride), c);
+    return key;
+  };
+  // Dead lanes must not touch memory (their keys are unchecked); the
+  // masked gather leaves them at kVacant, and `miss` filters them out.
+  const auto gather = [&](__m256i key, __m256i livemask) {
+    return kMasked ? _mm256_mask_i32gather_epi32(
+                         vvacant, reinterpret_cast<const int*>(dense), key,
+                         livemask, 4)
+                   : _mm256_i32gather_epi32(
+                         reinterpret_cast<const int*>(dense), key, 4);
   };
 
   size_t t = 0;
-  // 2x unrolled: both gathers in flight before either fixup (latency
-  // hiding); batch 1's stale-vacant reads self-correct because the fixup
-  // re-reads each missed cell, strictly in tuple order.
-  for (; t + 16 <= a.n; t += 16) {
+  // 2x unrolled: both gathers are in flight before the fixup runs (gather
+  // latency hiding). The unaligned tail runs the scalar reference loop.
+  for (; t + 16 <= n; t += 16) {
     __m256i live0 = _mm256_set1_epi32(-1);
     __m256i live1 = live0;
     if (kMasked) {
@@ -166,203 +151,37 @@ uint32_t Dense1Level8(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     }
     const __m256i key0 = keys_at(t, live0);
     const __m256i key1 = keys_at(t + 8, live1);
-    __m256i id0 =
-        kMasked ? _mm256_mask_i32gather_epi32(
-                      vvacant, reinterpret_cast<const int*>(dense), key0,
-                      live0, 4)
-                : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                         key0, 4);
-    __m256i id1 =
-        kMasked ? _mm256_mask_i32gather_epi32(
-                      vvacant, reinterpret_cast<const int*>(dense), key1,
-                      live1, 4)
-                : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                         key1, 4);
+    __m256i id0 = gather(key0, live0);
+    __m256i id1 = gather(key1, live1);
     __m256i miss0 = _mm256_cmpeq_epi32(id0, vvacant);
     __m256i miss1 = _mm256_cmpeq_epi32(id1, vvacant);
     if (kMasked) {
       miss0 = _mm256_and_si256(miss0, live0);
       miss1 = _mm256_and_si256(miss1, live1);
     }
-    const uint32_t bits0 = MissBits8(miss0);
-    const uint32_t bits1 = MissBits8(miss1);
-    if ((bits0 | bits1) != 0) {
-      // Inline fixup over the combined 16-lane spill: ctz-walk in lane
-      // (= tuple) order with a per-cell re-read, so duplicates within and
-      // across the pair still get first-appearance ids.
-      alignas(32) uint32_t kk[16];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key0);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(kk + 8), key1);
-      uint32_t bits = bits0 | (bits1 << 8);
-      if (kCountOnly) {
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) dense[cell] = fresh++;
-        }
-      } else {
-        alignas(32) uint32_t ii[16];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(ii), id0);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(ii + 8), id1);
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          uint32_t cur = dense[cell];
-          if (cur == kVacant) {
-            cur = fresh++;
-            dense[cell] = cur;
-          }
-          ii[l] = cur;
-        }
-        id0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii));
-        id1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii + 8));
-      }
+    const uint32_t bits = MissBits8(miss0) | (MissBits8(miss1) << 8);
+    if (bits != 0) {
+      fresh = FixupMisses<kCountOnly>(dense, key0, key1, &id0, &id1, bits,
+                                      fresh);
     }
     if (!kCountOnly) {
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t), id0);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t + 8), id1);
     }
   }
-  for (; t + 8 <= a.n; t += 8) {
-    __m256i livemask = _mm256_set1_epi32(-1);
-    if (kMasked) {
-      livemask = LiveMask8(live, t);
-      if (_mm256_testz_si256(livemask, livemask)) continue;
-    }
-    const __m256i key = keys_at(t, livemask);
-    __m256i id =
-        kMasked ? _mm256_mask_i32gather_epi32(
-                      vvacant, reinterpret_cast<const int*>(dense), key,
-                      livemask, 4)
-                : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                         key, 4);
-    __m256i miss = _mm256_cmpeq_epi32(id, vvacant);
-    if (kMasked) miss = _mm256_and_si256(miss, livemask);
-    uint32_t bits = MissBits8(miss);
-    if (bits != 0) {
-      alignas(32) uint32_t kk[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(kk), key);
-      if (kCountOnly) {
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) dense[cell] = fresh++;
-        }
-      } else {
-        alignas(32) uint32_t ii[8];
-        _mm256_store_si256(reinterpret_cast<__m256i*>(ii), id);
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          uint32_t cur = dense[cell];
-          if (cur == kVacant) {
-            cur = fresh++;
-            dense[cell] = cur;
-          }
-          ii[l] = cur;
-        }
-        id = _mm256_load_si256(reinterpret_cast<const __m256i*>(ii));
-      }
-    }
-    if (!kCountOnly) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + t), id);
-    }
-  }
-  return detail::DenseRefineRange(a, dense, fresh, t, a.n);
+  return detail::DenseRefineRange(a, dense, fresh, t, n);
 }
 
 uint32_t Avx2Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  if (a.level_count == 1) {
-    const bool masked = a.live != nullptr;
-    const bool count_only = a.out == nullptr;
-    if (masked) {
-      return count_only ? Dense1Level8<true, true>(a, dense, fresh)
-                        : Dense1Level8<true, false>(a, dense, fresh);
-    }
-    return count_only ? Dense1Level8<false, true>(a, dense, fresh)
-                      : Dense1Level8<false, false>(a, dense, fresh);
-  }
-  const __m256i vvacant = _mm256_set1_epi32(-1);
-  const bool masked = a.live != nullptr;
-  const bool count_only = a.out == nullptr;
-  size_t t = 0;
-  // 2x unrolled: both gathers are in flight before either fixup runs
-  // (gather latency hiding). Batch 1's gather may read a stale kVacant
-  // for a key batch 0 is about to insert — harmless, its fixup re-reads
-  // the cell after batch 0's fixup completed, in tuple order.
-  for (; t + 16 <= a.n; t += 16) {
-    __m256i live0 = _mm256_set1_epi32(-1);
-    __m256i live1 = live0;
-    if (masked) {
-      live0 = LiveMask8(a.live, t);
-      live1 = LiveMask8(a.live, t + 8);
-    }
-    const __m256i key0 = PackedKeys8(a, t, live0, masked);
-    const __m256i key1 = PackedKeys8(a, t + 8, live1, masked);
-    __m256i id0 =
-        masked ? _mm256_mask_i32gather_epi32(
-                     vvacant, reinterpret_cast<const int*>(dense), key0,
-                     live0, 4)
-               : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                        key0, 4);
-    __m256i id1 =
-        masked ? _mm256_mask_i32gather_epi32(
-                     vvacant, reinterpret_cast<const int*>(dense), key1,
-                     live1, 4)
-               : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                        key1, 4);
-    __m256i miss0 = _mm256_cmpeq_epi32(id0, vvacant);
-    __m256i miss1 = _mm256_cmpeq_epi32(id1, vvacant);
-    if (masked) {
-      miss0 = _mm256_and_si256(miss0, live0);
-      miss1 = _mm256_and_si256(miss1, live1);
-    }
-    const uint32_t bits0 = MissBits8(miss0);
-    const uint32_t bits1 = MissBits8(miss1);
-    if (bits0 != 0) {
-      fresh = FixupMisses8(dense, key0, count_only ? nullptr : &id0, bits0,
-                           fresh);
-    }
-    if (bits1 != 0) {
-      fresh = FixupMisses8(dense, key1, count_only ? nullptr : &id1, bits1,
-                           fresh);
-    }
-    if (!count_only) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + t), id0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + t + 8), id1);
-    }
-  }
-  for (; t + 8 <= a.n; t += 8) {
-    __m256i livemask = _mm256_set1_epi32(-1);
-    if (masked) {
-      livemask = LiveMask8(a.live, t);
-      if (_mm256_testz_si256(livemask, livemask)) continue;
-    }
-    const __m256i key = PackedKeys8(a, t, livemask, masked);
-    // Dead lanes must not touch memory (their keys are unchecked); the
-    // masked gather leaves them at kVacant, filtered out of `miss` below.
-    __m256i id =
-        masked ? _mm256_mask_i32gather_epi32(
-                     vvacant, reinterpret_cast<const int*>(dense), key,
-                     livemask, 4)
-               : _mm256_i32gather_epi32(reinterpret_cast<const int*>(dense),
-                                        key, 4);
-    __m256i miss = _mm256_cmpeq_epi32(id, vvacant);
-    if (masked) miss = _mm256_and_si256(miss, livemask);
-    const uint32_t bits = MissBits8(miss);
-    if (bits != 0) {
-      fresh = FixupMisses8(dense, key, count_only ? nullptr : &id, bits,
-                           fresh);
-    }
-    if (!count_only) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + t), id);
-    }
-  }
-  return detail::DenseRefineRange(a, dense, fresh, t, a.n);
+  assert(a.level_count <= kMaxFusedLevels);
+  // Indexed [masked][count_only][one_level].
+  static constexpr DenseRefineFn kLoops[2][2][2] = {
+      {{DenseLoop<false, false, false>, DenseLoop<false, false, true>},
+       {DenseLoop<false, true, false>, DenseLoop<false, true, true>}},
+      {{DenseLoop<true, false, false>, DenseLoop<true, false, true>},
+       {DenseLoop<true, true, false>, DenseLoop<true, true, true>}}};
+  return kLoops[a.live != nullptr][a.out == nullptr][a.level_count == 1](
+      a, dense, fresh);
 }
 
 /// 64x64 -> low 64 multiply (AVX2 has no vpmullq): lo*lo plus the two
@@ -398,13 +217,12 @@ inline __m256i HashOf4(__m256i key) {
 
 uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
                   uint32_t fresh) {
-  constexpr size_t kBlock = 128;
-  constexpr size_t kPrefetchAhead = 8;
-  alignas(32) uint64_t keys[kBlock];
-  alignas(32) uint64_t hashes[kBlock];
+  alignas(32) uint64_t keys[detail::kFlatBlock];
+  alignas(32) uint64_t hashes[detail::kFlatBlock];
 
-  for (size_t b = 0; b < a.n; b += kBlock) {
-    const size_t be = std::min(a.n, b + kBlock);
+  for (size_t b = 0; b < a.n; b += detail::kFlatBlock) {
+    const size_t be =
+        a.n - b < detail::kFlatBlock ? a.n : b + detail::kFlatBlock;
     // Build phase: packed u64 keys + hashes, 4 lanes at a time. Dead
     // lanes still get a (meaningless but safely computed) key — the probe
     // phase skips them, and their base ids are exempt from the check.
@@ -451,31 +269,7 @@ uint32_t Avx2Flat(const RefineArgs& a, util::FlatIdTable& table,
       _mm256_store_si256(reinterpret_cast<__m256i*>(hashes + (t - b)),
                          HashOf4(key));
     }
-    for (; t < be; ++t) {
-      // Scalar tail of the block; dead rows keep a placeholder (skipped
-      // below) because PackedKey's bounds check must not fire for them.
-      if (a.live != nullptr && a.live[t] == 0) {
-        keys[t - b] = 0;
-        hashes[t - b] = 0;
-        continue;
-      }
-      keys[t - b] = detail::PackedKey(a, t);
-      hashes[t - b] = util::FlatIdTable::HashOf(keys[t - b]);
-    }
-    // Probe phase: scalar FindOrInsertHashed fed precomputed hashes, with
-    // the next probe line prefetched a fixed distance ahead.
-    for (t = b; t < be; ++t) {
-      if (a.live != nullptr && a.live[t] == 0) continue;
-      if (t + kPrefetchAhead < be) {
-        table.PrefetchHash(hashes[t + kPrefetchAhead - b]);
-      }
-      bool inserted = false;
-      const uint32_t id =
-          table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
-                                   &inserted);
-      if (inserted) ++fresh;
-      if (a.out != nullptr) a.out[t] = id;
-    }
+    fresh = detail::FlatFinishBlock(a, table, fresh, b, t, be, keys, hashes);
   }
   return fresh;
 }

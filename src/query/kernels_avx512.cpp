@@ -2,14 +2,15 @@
 // gathers and opmask liveness, 8-lane packed-u64 keys + vpmullq splitmix64
 // hashing for the flat path. Compiled with -mavx512{f,bw,dq,vl}; reached
 // only after runtime detection confirms both the instruction sets and OS
-// zmm state.
+// zmm state. Vector code only: the scalar tails and the flat probe phase
+// live in kernels.cpp (see kernels_detail.h).
 #include "query/kernels.h"
 
 #if defined(FDEVOLVE_X86_KERNELS)
 
 #include <immintrin.h>
 
-#include <algorithm>
+#include <cassert>
 
 #include "query/kernels_detail.h"
 
@@ -18,69 +19,36 @@ namespace {
 
 constexpr uint32_t kVacant = util::FlatIdTable::kVacant;
 
-/// 16 packed u32 keys for tuples [t, t+16) with the bounds check masked to
-/// live lanes. Dense segments keep the radix <= 2^31, so 32-bit lanes hold
-/// every intermediate exactly.
-inline __m512i PackedKeys16(const RefineArgs& a, size_t t, __mmask16 m) {
-  __m512i key;
-  if (a.base_ids != nullptr) {
-    key = _mm512_loadu_si512(a.base_ids + t);
-    if (a.base_groups <= 0xffffffffull) {
-      const __m512i vgroups =
-          _mm512_set1_epi32(static_cast<int>(a.base_groups));
-      if (_mm512_mask_cmpge_epu32_mask(m, key, vgroups) != 0) {
-        detail::ThrowBadId();
-      }
-    }
-  } else {
-    key = _mm512_setzero_si512();
-  }
-  for (size_t j = 0; j < a.level_count; ++j) {
-    const Level& lv = a.levels[j];
-    __m512i c = _mm512_loadu_si512(lv.codes + t);
-    if (lv.has_nulls) {
-      const __mmask16 isnull = _mm512_cmpeq_epi32_mask(
-          c, _mm512_set1_epi32(static_cast<int>(relation::kNullCode)));
-      c = _mm512_mask_mov_epi32(
-          c, isnull, _mm512_set1_epi32(static_cast<int>(lv.null_slot)));
-    }
-    key = _mm512_add_epi32(
-        _mm512_mullo_epi32(key,
-                           _mm512_set1_epi32(static_cast<int>(lv.stride))),
-        c);
-  }
-  return key;
-}
-
-/// Resolves one batch's miss lanes. Lane order = tuple order, and
-/// dense[cell] is re-read per lane, so intra-batch (and, under the 2x
-/// unroll, cross-batch) duplicates see the id an earlier lane inserted —
-/// first-appearance assignment survives batching. The miss bitmask is
-/// walked with ctz instead of a 16-way branch per lane: at high
-/// fresh-ratios nearly every batch has a miss or three, and the
-/// unpredictable per-lane branches were the dominant cost of the naive
-/// loop. When materializing (`id != nullptr`), the corrected id vector is
-/// rebuilt through a spill; count-only callers skip that entirely.
-inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
-                              __mmask16 miss, uint32_t fresh) {
-  alignas(64) uint32_t kk[16];
-  _mm512_store_si512(kk, key);
-  if (id == nullptr) {
-    uint32_t mm = miss;
-    while (mm != 0) {
-      const int l = __builtin_ctz(mm);
-      mm &= mm - 1;
+/// Resolves the miss lanes of one 32-tuple step (two 16-lane batches). The
+/// combined miss bitmask is ctz-walked in lane (= tuple) order and each
+/// missed cell re-read, so duplicates within and across the two batches —
+/// and batch 1's gathers that raced batch 0's inserts and read a stale
+/// kVacant — still get first-appearance ids. The ctz walk replaces a
+/// 16-way branch per lane: at high fresh-ratios nearly every batch has a
+/// miss or three, and those unpredictable branches dominated the naive
+/// loop. Count-only callers skip the id spill/reload.
+template <bool kCountOnly>
+inline uint32_t FixupMisses(uint32_t* dense, __m512i key0, __m512i key1,
+                            __m512i* id0, __m512i* id1, uint32_t bits,
+                            uint32_t fresh) {
+  alignas(64) uint32_t kk[32];
+  _mm512_store_si512(kk, key0);
+  _mm512_store_si512(kk + 16, key1);
+  if (kCountOnly) {
+    while (bits != 0) {
+      const int l = __builtin_ctz(bits);
+      bits &= bits - 1;
       const uint32_t cell = kk[l];
       if (dense[cell] == kVacant) dense[cell] = fresh++;
     }
     return fresh;
   }
-  alignas(64) uint32_t ii[16];
-  _mm512_store_si512(ii, *id);
-  uint32_t mm = miss;
-  while (mm != 0) {
-    const int l = __builtin_ctz(mm);
-    mm &= mm - 1;
+  alignas(64) uint32_t ii[32];
+  _mm512_store_si512(ii, *id0);
+  _mm512_store_si512(ii + 16, *id1);
+  while (bits != 0) {
+    const int l = __builtin_ctz(bits);
+    bits &= bits - 1;
     const uint32_t cell = kk[l];
     uint32_t cur = dense[cell];
     if (cur == kVacant) {
@@ -89,62 +57,78 @@ inline uint32_t FixupMisses16(uint32_t* dense, __m512i key, __m512i* id,
     }
     ii[l] = cur;
   }
-  *id = _mm512_load_si512(ii);
+  *id0 = _mm512_load_si512(ii);
+  *id1 = _mm512_load_si512(ii + 16);
   return fresh;
 }
 
-/// Single-level specialization of the dense loop — the AVX-512 twin of
-/// the AVX2 tier's Dense1Level8. Refine-by-one-attribute is the hottest
-/// shape the repair search produces, and the generic loop's
-/// RefineArgs/Level indirection makes GCC re-load every field and re-test
-/// every runtime flag per 16-tuple batch. This version hoists all batch
-/// constants into locals before the loop and resolves the masked/count-only
-/// shape at compile time, so the steady-state body is load + gather +
-/// opmask compare.
-template <bool kMasked, bool kCountOnly>
-uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+/// The dense pass, its shape fixed at compile time — the AVX-512 twin of
+/// the AVX2 tier's DenseLoop: kMasked (a tombstone bitmap is present),
+/// kCountOnly (no `out`), kOneLevel (exactly one level). Every batch
+/// constant, level descriptors included, is copied into locals before the
+/// sweep, so the steady-state body is loads + gather + opmask compare.
+/// Dense segments keep the radix <= 2^31, so every key fits a 32-bit lane.
+template <bool kMasked, bool kCountOnly, bool kOneLevel>
+uint32_t DenseLoop(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
+  const size_t n = a.n;
   const uint32_t* const base = a.base_ids;
   const uint8_t* const live = a.live;
   uint32_t* const out = a.out;
-  const Level lv = a.levels[0];
-  const uint32_t* const codes = lv.codes;
   const bool check = base != nullptr && a.base_groups <= 0xffffffffull;
-  const bool has_nulls = lv.has_nulls;
   const __m512i vgroups = _mm512_set1_epi32(static_cast<int>(a.base_groups));
-  const __m512i vstride = _mm512_set1_epi32(static_cast<int>(lv.stride));
   const __m512i vnull =
       _mm512_set1_epi32(static_cast<int>(relation::kNullCode));
-  const __m512i vslot = _mm512_set1_epi32(static_cast<int>(lv.null_slot));
   const __m512i vvacant = _mm512_set1_epi32(-1);
+  const size_t levels = kOneLevel ? 1 : a.level_count;
+  const uint32_t* codes[kMaxFusedLevels] = {};
+  bool has_nulls[kMaxFusedLevels] = {};
+  __m512i vstride[kMaxFusedLevels];
+  __m512i vslot[kMaxFusedLevels];
+  for (size_t j = 0; j < levels; ++j) {
+    const Level& lv = a.levels[j];
+    codes[j] = lv.codes;
+    has_nulls[j] = lv.has_nulls;
+    vstride[j] = _mm512_set1_epi32(static_cast<int>(lv.stride));
+    vslot[j] = _mm512_set1_epi32(static_cast<int>(lv.null_slot));
+  }
 
-  // One batch's key vector: base ids (bounds-checked on live lanes) *
-  // stride + NULL-remapped codes. Everything it reads is a local.
+  // One batch's key vector: base ids (bounds-checked on live lanes), then
+  // per level * stride + NULL-remapped code.
   const auto keys_at = [&](size_t t, __mmask16 m) {
-    __m512i key;
+    __m512i key = _mm512_setzero_si512();
     if (base != nullptr) {
       key = _mm512_loadu_si512(base + t);
-      if (check) {
-        const __mmask16 liveness = kMasked ? m : static_cast<__mmask16>(0xffff);
-        if (_mm512_mask_cmpge_epu32_mask(liveness, key, vgroups) != 0) {
-          detail::ThrowBadId();
-        }
+      if (check && _mm512_mask_cmpge_epu32_mask(m, key, vgroups) != 0) {
+        detail::ThrowBadId();
       }
-    } else {
-      key = _mm512_setzero_si512();
     }
-    __m512i c = _mm512_loadu_si512(codes + t);
-    if (has_nulls) {
-      const __mmask16 isnull = _mm512_cmpeq_epi32_mask(c, vnull);
-      c = _mm512_mask_mov_epi32(c, isnull, vslot);
+    for (size_t j = 0; j < levels; ++j) {
+      __m512i c = _mm512_loadu_si512(codes[j] + t);
+      if (has_nulls[j]) {
+        c = _mm512_mask_mov_epi32(c, _mm512_cmpeq_epi32_mask(c, vnull),
+                                  vslot[j]);
+      }
+      key = _mm512_add_epi32(_mm512_mullo_epi32(key, vstride[j]), c);
     }
-    return _mm512_add_epi32(_mm512_mullo_epi32(key, vstride), c);
+    return key;
+  };
+  // Dead lanes must not touch memory (their keys are unchecked); the
+  // masked gather leaves them at kVacant, and the masked compare drops
+  // them from `miss`.
+  const auto gather = [&](__m512i key, __mmask16 m) {
+    return kMasked ? _mm512_mask_i32gather_epi32(vvacant, m, key, dense, 4)
+                   : _mm512_i32gather_epi32(key, dense, 4);
+  };
+  const auto misses = [&](__m512i id, __mmask16 m) {
+    return kMasked ? _mm512_mask_cmpeq_epi32_mask(m, id, vvacant)
+                   : _mm512_cmpeq_epi32_mask(id, vvacant);
   };
 
   size_t t = 0;
-  // 2x unrolled: both gathers in flight before either fixup (latency
-  // hiding); batch 1's stale-vacant reads self-correct because the fixup
-  // re-reads each missed cell, strictly in tuple order.
-  for (; t + 32 <= a.n; t += 32) {
+  // 2x unrolled: both gathers are in flight before the fixup runs, which
+  // hides most of the gather latency. The unaligned tail runs the scalar
+  // reference loop.
+  for (; t + 32 <= n; t += 32) {
     __mmask16 m0 = 0xffff;
     __mmask16 m1 = 0xffff;
     if (kMasked) {
@@ -157,173 +141,32 @@ uint32_t Dense1Level16(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
     }
     const __m512i key0 = keys_at(t, m0);
     const __m512i key1 = keys_at(t + 16, m1);
-    __m512i id0 = kMasked
-                      ? _mm512_mask_i32gather_epi32(vvacant, m0, key0, dense, 4)
-                      : _mm512_i32gather_epi32(key0, dense, 4);
-    __m512i id1 = kMasked
-                      ? _mm512_mask_i32gather_epi32(vvacant, m1, key1, dense, 4)
-                      : _mm512_i32gather_epi32(key1, dense, 4);
-    const __mmask16 miss0 = kMasked
-                                ? _mm512_mask_cmpeq_epi32_mask(m0, id0, vvacant)
-                                : _mm512_cmpeq_epi32_mask(id0, vvacant);
-    const __mmask16 miss1 = kMasked
-                                ? _mm512_mask_cmpeq_epi32_mask(m1, id1, vvacant)
-                                : _mm512_cmpeq_epi32_mask(id1, vvacant);
-    if ((miss0 | miss1) != 0) {
-      // Inline fixup over the combined 32-lane spill: ctz-walk in lane
-      // (= tuple) order with a per-cell re-read, so duplicates within and
-      // across the pair still get first-appearance ids.
-      alignas(64) uint32_t kk[32];
-      _mm512_store_si512(kk, key0);
-      _mm512_store_si512(kk + 16, key1);
-      uint32_t bits = static_cast<uint32_t>(miss0) |
-                      (static_cast<uint32_t>(miss1) << 16);
-      if (kCountOnly) {
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) dense[cell] = fresh++;
-        }
-      } else {
-        alignas(64) uint32_t ii[32];
-        _mm512_store_si512(ii, id0);
-        _mm512_store_si512(ii + 16, id1);
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          uint32_t cur = dense[cell];
-          if (cur == kVacant) {
-            cur = fresh++;
-            dense[cell] = cur;
-          }
-          ii[l] = cur;
-        }
-        id0 = _mm512_load_si512(ii);
-        id1 = _mm512_load_si512(ii + 16);
-      }
+    __m512i id0 = gather(key0, m0);
+    __m512i id1 = gather(key1, m1);
+    const uint32_t bits = static_cast<uint32_t>(misses(id0, m0)) |
+                          (static_cast<uint32_t>(misses(id1, m1)) << 16);
+    if (bits != 0) {
+      fresh = FixupMisses<kCountOnly>(dense, key0, key1, &id0, &id1, bits,
+                                      fresh);
     }
     if (!kCountOnly) {
       _mm512_storeu_si512(out + t, id0);
       _mm512_storeu_si512(out + t + 16, id1);
     }
   }
-  for (; t + 16 <= a.n; t += 16) {
-    __mmask16 m = 0xffff;
-    if (kMasked) {
-      const __m128i bytes =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(live + t));
-      m = _mm_cmpneq_epi8_mask(bytes, _mm_setzero_si128());
-      if (m == 0) continue;
-    }
-    const __m512i key = keys_at(t, m);
-    __m512i id = kMasked
-                     ? _mm512_mask_i32gather_epi32(vvacant, m, key, dense, 4)
-                     : _mm512_i32gather_epi32(key, dense, 4);
-    uint32_t bits = kMasked ? _mm512_mask_cmpeq_epi32_mask(m, id, vvacant)
-                            : _mm512_cmpeq_epi32_mask(id, vvacant);
-    if (bits != 0) {
-      alignas(64) uint32_t kk[16];
-      _mm512_store_si512(kk, key);
-      if (kCountOnly) {
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          if (dense[cell] == kVacant) dense[cell] = fresh++;
-        }
-      } else {
-        alignas(64) uint32_t ii[16];
-        _mm512_store_si512(ii, id);
-        while (bits != 0) {
-          const int l = __builtin_ctz(bits);
-          bits &= bits - 1;
-          const uint32_t cell = kk[l];
-          uint32_t cur = dense[cell];
-          if (cur == kVacant) {
-            cur = fresh++;
-            dense[cell] = cur;
-          }
-          ii[l] = cur;
-        }
-        id = _mm512_load_si512(ii);
-      }
-    }
-    if (!kCountOnly) _mm512_storeu_si512(out + t, id);
-  }
-  return detail::DenseRefineRange(a, dense, fresh, t, a.n);
+  return detail::DenseRefineRange(a, dense, fresh, t, n);
 }
 
 uint32_t Avx512Dense(const RefineArgs& a, uint32_t* dense, uint32_t fresh) {
-  if (a.level_count == 1) {
-    const bool masked = a.live != nullptr;
-    const bool count_only = a.out == nullptr;
-    if (masked) {
-      return count_only ? Dense1Level16<true, true>(a, dense, fresh)
-                        : Dense1Level16<true, false>(a, dense, fresh);
-    }
-    return count_only ? Dense1Level16<false, true>(a, dense, fresh)
-                      : Dense1Level16<false, false>(a, dense, fresh);
-  }
-  const __m512i vvacant = _mm512_set1_epi32(-1);
-  const bool count_only = a.out == nullptr;
-  size_t t = 0;
-  // 2x unrolled main loop: both gathers issue before either fixup, which
-  // hides most of the gather latency (this is where the bulk of the
-  // speedup over one-batch-at-a-time comes from). Batch 1's gather may
-  // race batch 0's inserts and read a stale kVacant — harmless, the lane
-  // just takes the fixup path, which re-reads the cell after batch 0's
-  // fixup completed.
-  for (; t + 32 <= a.n; t += 32) {
-    __mmask16 m0 = 0xffff;
-    __mmask16 m1 = 0xffff;
-    if (a.live != nullptr) {
-      const __m256i bytes =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.live + t));
-      const __mmask32 lm =
-          _mm256_cmpneq_epi8_mask(bytes, _mm256_setzero_si256());
-      m0 = static_cast<__mmask16>(lm);
-      m1 = static_cast<__mmask16>(lm >> 16);
-    }
-    const __m512i key0 = PackedKeys16(a, t, m0);
-    const __m512i key1 = PackedKeys16(a, t + 16, m1);
-    __m512i id0 = _mm512_mask_i32gather_epi32(vvacant, m0, key0, dense, 4);
-    __m512i id1 = _mm512_mask_i32gather_epi32(vvacant, m1, key1, dense, 4);
-    const __mmask16 miss0 = _mm512_mask_cmpeq_epi32_mask(m0, id0, vvacant);
-    const __mmask16 miss1 = _mm512_mask_cmpeq_epi32_mask(m1, id1, vvacant);
-    // Fixups strictly in tuple order: batch 0 before batch 1.
-    if (miss0 != 0) {
-      fresh = FixupMisses16(dense, key0, count_only ? nullptr : &id0, miss0,
-                            fresh);
-    }
-    if (miss1 != 0) {
-      fresh = FixupMisses16(dense, key1, count_only ? nullptr : &id1, miss1,
-                            fresh);
-    }
-    if (!count_only) {
-      _mm512_storeu_si512(a.out + t, id0);
-      _mm512_storeu_si512(a.out + t + 16, id1);
-    }
-  }
-  for (; t + 16 <= a.n; t += 16) {
-    __mmask16 m = 0xffff;
-    if (a.live != nullptr) {
-      const __m128i bytes =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.live + t));
-      m = _mm_cmpneq_epi8_mask(bytes, _mm_setzero_si128());
-      if (m == 0) continue;
-    }
-    const __m512i key = PackedKeys16(a, t, m);
-    __m512i id = _mm512_mask_i32gather_epi32(vvacant, m, key, dense, 4);
-    const __mmask16 miss = _mm512_mask_cmpeq_epi32_mask(m, id, vvacant);
-    if (miss != 0) {
-      fresh = FixupMisses16(dense, key, count_only ? nullptr : &id, miss,
-                            fresh);
-    }
-    if (!count_only) _mm512_storeu_si512(a.out + t, id);
-  }
-  return detail::DenseRefineRange(a, dense, fresh, t, a.n);
+  assert(a.level_count <= kMaxFusedLevels);
+  // Indexed [masked][count_only][one_level].
+  static constexpr DenseRefineFn kLoops[2][2][2] = {
+      {{DenseLoop<false, false, false>, DenseLoop<false, false, true>},
+       {DenseLoop<false, true, false>, DenseLoop<false, true, true>}},
+      {{DenseLoop<true, false, false>, DenseLoop<true, false, true>},
+       {DenseLoop<true, true, false>, DenseLoop<true, true, true>}}};
+  return kLoops[a.live != nullptr][a.out == nullptr][a.level_count == 1](
+      a, dense, fresh);
 }
 
 /// 8-lane splitmix64 — vpmullq (DQ) makes this three multiplies, no
@@ -350,13 +193,12 @@ inline __m512i HashOf8(__m512i key) {
 
 uint32_t Avx512Flat(const RefineArgs& a, util::FlatIdTable& table,
                     uint32_t fresh) {
-  constexpr size_t kBlock = 128;
-  constexpr size_t kPrefetchAhead = 8;
-  alignas(64) uint64_t keys[kBlock];
-  alignas(64) uint64_t hashes[kBlock];
+  alignas(64) uint64_t keys[detail::kFlatBlock];
+  alignas(64) uint64_t hashes[detail::kFlatBlock];
 
-  for (size_t b = 0; b < a.n; b += kBlock) {
-    const size_t be = std::min(a.n, b + kBlock);
+  for (size_t b = 0; b < a.n; b += detail::kFlatBlock) {
+    const size_t be =
+        a.n - b < detail::kFlatBlock ? a.n : b + detail::kFlatBlock;
     size_t t = b;
     for (; t + 8 <= be; t += 8) {
       __m512i key;
@@ -399,27 +241,7 @@ uint32_t Avx512Flat(const RefineArgs& a, util::FlatIdTable& table,
       _mm512_store_si512(keys + (t - b), key);
       _mm512_store_si512(hashes + (t - b), HashOf8(key));
     }
-    for (; t < be; ++t) {
-      if (a.live != nullptr && a.live[t] == 0) {
-        keys[t - b] = 0;
-        hashes[t - b] = 0;
-        continue;
-      }
-      keys[t - b] = detail::PackedKey(a, t);
-      hashes[t - b] = util::FlatIdTable::HashOf(keys[t - b]);
-    }
-    for (t = b; t < be; ++t) {
-      if (a.live != nullptr && a.live[t] == 0) continue;
-      if (t + kPrefetchAhead < be) {
-        table.PrefetchHash(hashes[t + kPrefetchAhead - b]);
-      }
-      bool inserted = false;
-      const uint32_t id =
-          table.FindOrInsertHashed(keys[t - b], hashes[t - b], fresh,
-                                   &inserted);
-      if (inserted) ++fresh;
-      if (a.out != nullptr) a.out[t] = id;
-    }
+    fresh = detail::FlatFinishBlock(a, table, fresh, b, t, be, keys, hashes);
   }
   return fresh;
 }

@@ -1,11 +1,19 @@
-// Scalar reference loops shared by the baseline kernel set and the tail /
-// fallback paths of every SIMD tier. These ARE the semantics: a vector
-// kernel is correct iff it is observationally identical to these loops
+// The boundary between the per-ISA kernel files and the rest of the
+// kernel layer. kernels_avx2.cpp and kernels_avx512.cpp hold vector code
+// only; everything scalar they need is declared here and defined once in
+// kernels.cpp, which is compiled for the baseline target. This header
+// defines no function, so including it makes a per-ISA object emit no
+// shared (weak) code: a baseline caller can never end up linked to a copy
+// built with -mavx2 or -mavx512* (scripts/check_isa_objects.py checks).
+//
+// The scalar loops behind DenseRefineRange are the reference semantics: a
+// vector kernel is correct iff it is observationally identical to them
 // (same ids, same fresh count, same exceptions), which is what the
 // dispatch-tier fuzz suite asserts.
 #pragma once
 
-#include <stdexcept>
+#include <cstddef>
+#include <cstdint>
 
 #include "query/kernels.h"
 #include "relation/relation.h"
@@ -27,58 +35,26 @@ constexpr uint64_t kHashSeed = util::FlatIdTable::kHashSeed;
 constexpr uint64_t kHashAdd =
     0x9e3779b97f4a7c15ULL + (kHashSeed << 12) + (kHashSeed >> 4);
 
-[[noreturn]] inline void ThrowBadId() {
-  throw std::invalid_argument("RefinePass: group id out of range");
-}
+/// Tuples per block of a flat pass: keys and hashes for a block are built
+/// (vectorized) before the block is probed.
+constexpr size_t kFlatBlock = 128;
 
-/// Packed mixed-radix key of tuple `t` (see kernels.h). Bounds-checks the
-/// incoming id — callers skip dead rows before calling, which preserves
-/// the scalar loop's "dead rows are never checked" behavior.
-inline uint64_t PackedKey(const RefineArgs& a, size_t t) {
-  uint64_t key = 0;
-  if (a.base_ids != nullptr) {
-    key = a.base_ids[t];
-    if (key >= a.base_groups) ThrowBadId();
-  }
-  for (size_t j = 0; j < a.level_count; ++j) {
-    const Level& lv = a.levels[j];
-    uint64_t c = lv.codes[t];
-    if (lv.has_nulls && c == relation::kNullCode) c = lv.null_slot;
-    key = key * lv.stride + c;
-  }
-  return key;
-}
+/// Throws std::invalid_argument("RefinePass: group id out of range").
+[[noreturn]] void ThrowBadId();
 
 /// Scalar dense pass over [lo, hi) — the sub-range form so SIMD kernels
 /// can delegate their unaligned tails to the exact reference loop.
-inline uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
-                                 uint32_t fresh, size_t lo, size_t hi) {
-  for (size_t t = lo; t < hi; ++t) {
-    if (a.live != nullptr && a.live[t] == 0) continue;
-    const uint64_t key = PackedKey(a, t);
-    uint32_t id = dense[key];
-    if (id == util::FlatIdTable::kVacant) {
-      id = fresh++;
-      dense[key] = id;
-    }
-    if (a.out != nullptr) a.out[t] = id;
-  }
-  return fresh;
-}
+uint32_t DenseRefineRange(const RefineArgs& a, uint32_t* dense,
+                          uint32_t fresh, size_t lo, size_t hi);
 
-/// Scalar flat pass over [lo, hi).
-inline uint32_t FlatRefineRange(const RefineArgs& a, util::FlatIdTable& table,
-                                uint32_t fresh, size_t lo, size_t hi) {
-  for (size_t t = lo; t < hi; ++t) {
-    if (a.live != nullptr && a.live[t] == 0) continue;
-    const uint64_t key = PackedKey(a, t);
-    bool inserted = false;
-    const uint32_t id = table.FindOrInsert(key, fresh, &inserted);
-    if (inserted) ++fresh;
-    if (a.out != nullptr) a.out[t] = id;
-  }
-  return fresh;
-}
+/// Finishes one flat block [b, be) whose packed keys and hashes a vector
+/// build phase wrote for [b, t): computes the scalar tail [t, be), then
+/// probes the whole block through FindOrInsertHashed in tuple order,
+/// prefetching a fixed distance ahead. `keys`/`hashes` are indexed from
+/// `b`. Returns the updated fresh counter.
+uint32_t FlatFinishBlock(const RefineArgs& a, util::FlatIdTable& table,
+                         uint32_t fresh, size_t b, size_t t, size_t be,
+                         uint64_t* keys, uint64_t* hashes);
 
 }  // namespace detail
 }  // namespace fdevolve::query::kernels

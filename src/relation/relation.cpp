@@ -212,7 +212,6 @@ void Relation::DeleteRow(size_t t) {
   deletion_log_.push_back(static_cast<uint32_t>(t));
   ++dead_count_;
   ++deletes_ever_;
-  ++mutation_epoch_;
 }
 
 size_t Relation::Compact() {
@@ -227,7 +226,6 @@ size_t Relation::Compact() {
   // Epoch and incarnation move even for a no-op compaction: callers that
   // trigger Compact() deterministically (the server's policy) must see
   // identical counters on replay regardless of whether rows were dead.
-  ++mutation_epoch_;
   ++compactions_;
   return removed;
 }
@@ -239,7 +237,6 @@ Relation Relation::CompactedCopy() const {
   // lifetime counters restart at the compacted contents.
   copy.appends_ever_ = copy.tuple_count_;
   copy.deletes_ever_ = 0;
-  copy.mutation_epoch_ = 0;
   copy.compactions_ = 0;
   return copy;
 }
@@ -304,7 +301,6 @@ void Relation::RestoreLifetimeCounters(size_t appends_ever,
   appends_ever_ = appends_ever;
   deletes_ever_ = deletes_ever;
   compactions_ = compactions;
-  mutation_epoch_ = deletes_ever + compactions;
 }
 
 void RequireNoTombstones(const Relation& rel, const char* where) {

@@ -144,9 +144,9 @@ class Relation {
   bool has_tombstones() const { return dead_count_ > 0; }
 
   /// Monotone mutation counter: bumped by every DeleteRow() and every
-  /// Compact(). Appends do NOT bump it — the append fast path stays
-  /// diffable via version() alone.
-  size_t mutation_epoch() const { return mutation_epoch_; }
+  /// Compact() (it is deletes_ever() + compactions()). Appends do NOT bump
+  /// it — the append fast path stays diffable via version() alone.
+  size_t mutation_epoch() const { return deletes_ever_ + compactions_; }
 
   /// Number of Compact() calls over the relation's lifetime — the
   /// incarnation counter caches compare to detect that physical row ids
@@ -230,8 +230,7 @@ class Relation {
   /// consumers keyed to mutation history (monitors via appends_ever() +
   /// deletes_ever(), reservoir samplers via compactions()) resume against
   /// the same watermarks they checkpointed. mutation_epoch() is derived
-  /// (every DeleteRow and Compact bumps it exactly once, appends never
-  /// do), not passed. Throws std::invalid_argument when the counters are
+  /// from deletes_ever and compactions, not passed. Throws std::invalid_argument when the counters are
   /// impossible for this relation's current physical state.
   void RestoreLifetimeCounters(size_t appends_ever, size_t deletes_ever,
                                size_t compactions);
@@ -251,7 +250,6 @@ class Relation {
   std::vector<uint8_t> live_;
   std::vector<uint32_t> deletion_log_;  ///< dead row ids, deletion order
   size_t dead_count_ = 0;
-  size_t mutation_epoch_ = 0;
   size_t compactions_ = 0;
   size_t appends_ever_ = 0;
   size_t deletes_ever_ = 0;

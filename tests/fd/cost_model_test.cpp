@@ -208,5 +208,35 @@ TEST(PlanRepairTest, DescribePlanRendersBudgetAndCandidates) {
             std::string::npos);
 }
 
+// Both seeds can reach full confidence, so they tie on signal and the
+// cheaper one (a: 3 slots against b's 5) is spent first — even though b's
+// raw bound is larger. A budget covering exactly the plan's first seed must
+// let the executing search evaluate that seed.
+TEST(PlanRepairTest, BudgetedSearchSpendsInPlanOrder) {
+  Schema schema({{"x", DataType::kInt64},
+                 {"y", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kInt64}});
+  RelationBuilder builder("t", schema);
+  for (int64_t i = 0; i < 20; ++i) {
+    builder.Row({i % 2, (i / 2) % 2, i % 3, i % 5});
+  }
+  const Relation rel = builder.Build();
+  const Fd fd(AttrSet::Of({0}), AttrSet::Of({1}));
+  RepairOptions opts;
+  opts.max_added_attrs = 1;
+  const RepairPlan plan = PlanRepair(rel, fd, opts);
+  ASSERT_EQ(plan.candidates.size(), 2u);
+  EXPECT_EQ(plan.candidates[0].attr, 2);
+  EXPECT_EQ(plan.candidates[0].reachable_bound, 6u);
+  EXPECT_EQ(plan.candidates[1].reachable_bound, 10u);
+
+  opts.budget_cost = plan.candidates[0].est_cost_ms;
+  const RepairResult res = Extend(rel, fd, opts);
+  EXPECT_EQ(res.stats.candidates_evaluated, 1u);
+  EXPECT_EQ(res.stats.stop_reason, StopReason::kBudget);
+  EXPECT_DOUBLE_EQ(res.stats.planned_cost_ms, opts.budget_cost);
+}
+
 }  // namespace
 }  // namespace fdevolve::fd

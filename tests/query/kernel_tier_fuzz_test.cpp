@@ -151,6 +151,87 @@ TEST_P(KernelTierFuzz, BadBaseIdsThrowOnEveryTier) {
   }
 }
 
+/// A relation whose refinement chains run past kernels::kMaxFusedLevels:
+/// a0 is key-like, a1 wide, and a2..a41 narrow (1-2 values, stride 1 when
+/// constant) with NULLs in about a third of them, so dense segments fill
+/// all kMaxFusedLevels slots.
+Relation LongChainRelation(uint64_t seed, size_t n_tuples) {
+  constexpr int kAttrs = 42;
+  util::Rng rng(seed);
+  std::vector<size_t> domain(kAttrs);
+  std::vector<double> null_rate(kAttrs, 0.0);
+  domain[0] = n_tuples / 2 + 1;
+  domain[1] = 1000;
+  for (int i = 2; i < kAttrs; ++i) {
+    domain[i] = 1 + rng.Below(2);
+    if (rng.Chance(0.35)) null_rate[i] = 0.2;
+  }
+  std::vector<relation::Attribute> attrs;
+  for (int i = 0; i < kAttrs; ++i) {
+    attrs.push_back({"a" + std::to_string(i), DataType::kInt64});
+  }
+  Relation rel("long", Schema(std::move(attrs)));
+  for (size_t t = 0; t < n_tuples; ++t) {
+    std::vector<Value> row;
+    for (int i = 0; i < kAttrs; ++i) {
+      if (rng.Chance(null_rate[i])) {
+        row.push_back(Value::Null());
+      } else {
+        row.emplace_back(static_cast<int64_t>(rng.Below(domain[i])));
+      }
+    }
+    rel.AppendRow(row);
+  }
+  return rel;
+}
+
+// Chains longer than kMaxFusedLevels split into several fused segments:
+// the narrow-only chain through the dense kernels, and the chain that
+// starts at the wide column off a key-like base through the flat ones.
+// Every tier must match baseline, materializing and count-only, with and
+// without tombstones.
+TEST_P(KernelTierFuzz, LongChainsMatchBaseline) {
+  TierGuard guard;
+  Relation rel = LongChainRelation(seed(), 600);
+  util::Rng rng(seed() ^ 0x5eedULL);
+  AttrSet narrow;
+  for (int i = 2; i < rel.attr_count(); ++i) narrow.Add(i);
+  const AttrSet wide_and_narrow = narrow.With(1);
+  ASSERT_GT(static_cast<size_t>(narrow.Count()),
+            query::kernels::kMaxFusedLevels);
+  for (bool tombstoned : {false, true}) {
+    if (tombstoned) {
+      for (size_t t = 0; t < rel.tuple_count(); ++t) {
+        if (rng.Chance(0.15)) rel.DeleteRow(t);
+      }
+    }
+    query::kernels::ForceTier(util::CpuTier::kBaseline);
+    const auto base = query::GroupBy(rel, AttrSet::Of({0}));
+    const auto ref_group = query::GroupBy(rel, narrow);
+    const size_t ref_count = query::GroupCountBy(rel, narrow);
+    const auto ref_refine = query::RefineBy(rel, base, wide_and_narrow);
+    const size_t ref_refine_count =
+        query::RefineCountBy(rel, base, wide_and_narrow);
+
+    for (util::CpuTier tier : query::kernels::SupportedTiers()) {
+      query::kernels::ForceTier(tier);
+      query::RefineScratch s;
+      const std::string ctx = std::string(util::CpuTierName(tier)) +
+                              (tombstoned ? " tombstoned" : " clean");
+      const auto g = query::GroupBy(rel, narrow, s);
+      EXPECT_EQ(g.ids, ref_group.ids) << ctx;
+      EXPECT_EQ(g.group_count, ref_group.group_count) << ctx;
+      EXPECT_EQ(query::GroupCountBy(rel, narrow, s), ref_count) << ctx;
+      const auto r = query::RefineBy(rel, base, wide_and_narrow, s);
+      EXPECT_EQ(r.ids, ref_refine.ids) << ctx;
+      EXPECT_EQ(r.group_count, ref_refine.group_count) << ctx;
+      EXPECT_EQ(query::RefineCountBy(rel, base, wide_and_narrow, s),
+                ref_refine_count)
+          << ctx;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelTierFuzz, ::testing::Range(0, 6));
 
 }  // namespace
