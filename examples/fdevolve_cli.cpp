@@ -51,7 +51,8 @@
 //                                  cadence — and skip the final check)
 //       --sample=K                (monitor a K-slot reservoir sample
 //                                  instead of the full relation; measures
-//                                  become estimates with error intervals)
+//                                  become estimates, and only a sampled
+//                                  witness pair flags a violation)
 //       --seed=S                  (reservoir seed, default 1; the estimate
 //                                  sequence is a pure function of it)
 //   $ ./fdevolve_cli monitor <data.csv> --resume=FILE [options]
@@ -67,7 +68,6 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -446,19 +446,12 @@ int RunMonitor(int argc, char** argv) {
   }
   const bool truncated = stop < n;
 
-  // Sampled reports carry the estimate's error interval where it has one.
-  const auto interval = [](bool approx, double lo, double hi) {
-    std::ostringstream os;
-    if (approx) os << " in [" << lo << ", " << hi << "]";
-    return os.str();
-  };
   monitor->OnDrift([&](const fd::DriftEvent& ev) {
     std::cout << "drift @ " << ev.tuple_count << " tuples: "
               << monitor->fds()[ev.fd_index].fd.ToString(full.schema())
               << "  confidence=" << ev.measures.confidence;
     if (sampled) {
-      std::cout << interval(ev.approx, ev.confidence_lo, ev.confidence_hi)
-                << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
+      std::cout << (ev.kind == fd::DriftKind::kRecovered ? "  [recovered]"
                                                          : "  [violated]");
     } else {
       std::cout << "  goodness=" << ev.measures.goodness;
@@ -518,16 +511,11 @@ int RunMonitor(int argc, char** argv) {
   size_t violated_count = 0;
   for (size_t i = 0; i < monitor->fds().size(); ++i) {
     const auto& m = monitor->fds()[i];
-    const fd::SampledMeasures& est = monitor->estimates()[i];
     if (m.violated) ++violated_count;
     std::cout << "  FD#" << i << " " << m.fd.ToString(full.schema());
     if (sampled) {
-      std::cout << "  c~" << est.measures.confidence
-                << interval(est.approx, est.confidence_lo, est.confidence_hi)
-                << "  g~" << est.measures.goodness
-                << interval(est.approx, est.goodness_lo, est.goodness_hi)
-                << "  (sample " << est.sample_rows << "/" << est.live_rows
-                << " live rows)";
+      std::cout << "  c~" << m.measures.confidence
+                << "  g~" << m.measures.goodness;
     } else {
       std::cout << "  c=" << m.measures.confidence
                 << "  g=" << m.measures.goodness;

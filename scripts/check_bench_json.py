@@ -133,10 +133,6 @@ SCHEMAS = {
         "exact_check_ms_large": positive,
         "sampled_check_ms_large": positive,
         "large_check_speedup": positive,
-        "interval_width_k64": non_negative,
-        "interval_width_k256": non_negative,
-        "interval_width_k1024": non_negative,
-        "interval_width_k4096": non_negative,
         "identity_gate_failures": zero,
         "fast": boolean,
     },

@@ -41,7 +41,7 @@ while [[ $# -gt 0 ]]; do
       ;;
     --stats)
       # Run only the statistical-verification suites, at nightly depth:
-      # 2000 trials per scenario instead of the in-tree default of 200.
+      # 2000 trials per scenario instead of the in-tree default of 60.
       # Tier-1 wall clock is untouched — this is a separate opt-in run.
       export FDEVOLVE_STATS_TRIALS="${FDEVOLVE_STATS_TRIALS:-2000}"
       CTEST_ARGS+=(-R "SampledStats")

@@ -5,7 +5,7 @@
 // shrinks the live set out from under the sampled slots, delete-then-
 // reinsert cycles create tuples whose identity the sample must not
 // double-count, and a growing antecedent domain keeps the singleton count
-// (the Good-Turing f1 term) high so estimate intervals stay wide. One
+// (the Good-Turing f1 term) high so estimates stay far from exact. One
 // generator per hazard, same op-stream shape.
 //
 // An op stream is replayable: deletes address the target by its *live
@@ -38,7 +38,7 @@ enum class ChurnScenario {
   kReinsertHeavy,
   /// Insert-dominated with an antecedent domain that widens as the stream
   /// progresses — distinct counts keep rising and singletons never thin
-  /// out, the adversarial regime for Good-Turing interval width.
+  /// out, the adversarial regime for Good-Turing estimation.
   kDomainGrowth,
 };
 

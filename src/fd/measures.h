@@ -39,6 +39,15 @@ struct FdMeasures {
   double epsilon_cb() const {
     return inconsistency() + static_cast<double>(abs_goodness());
   }
+
+  /// Field-exact equality, doubles compared as values: the same counts
+  /// (or the same estimation arithmetic) always give the same bits, so a
+  /// restored checkpoint or a replayed stream must match exactly.
+  bool operator==(const FdMeasures& o) const {
+    return distinct_x == o.distinct_x && distinct_xy == o.distinct_xy &&
+           distinct_y == o.distinct_y && confidence == o.confidence &&
+           goodness == o.goodness && exact == o.exact;
+  }
 };
 
 /// Builds the full measure set from the three raw distinct counts.

@@ -1,18 +1,96 @@
 #include "fd/schema_monitor.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace fdevolve::fd {
 namespace {
 
-/// Field-exact equality, doubles compared bitwise-as-values: the restore
-/// path recomputes measures through the same integer counts (or the same
-/// estimation arithmetic), so an honest checkpoint matches exactly.
-bool SameMeasures(const FdMeasures& a, const FdMeasures& b) {
-  return a.distinct_x == b.distinct_x && a.distinct_xy == b.distinct_xy &&
-         a.distinct_y == b.distinct_y && a.confidence == b.confidence &&
-         a.goodness == b.goodness && a.exact == b.exact;
+/// Distinct keys of the sampled rows' projection onto some attributes,
+/// and how many of them appear exactly once (Good–Turing's f1).
+struct ProjectionStats {
+  size_t distinct = 0;
+  size_t singletons = 0;
+};
+
+ProjectionStats Project(const relation::Relation& rel,
+                        const std::vector<uint32_t>& rows,
+                        const relation::AttrSet& attrs) {
+  const std::vector<int> idx = attrs.ToVector();
+  // Keys are the concatenated dictionary codes of the projection —
+  // positionally comparable because codes identify values exactly
+  // (kNullCode included), and cheap to hash as raw bytes.
+  std::string key(idx.size() * sizeof(uint32_t), '\0');
+  std::unordered_map<std::string, size_t> counts;
+  counts.reserve(rows.size() * 2);
+  for (uint32_t row : rows) {
+    for (size_t a = 0; a < idx.size(); ++a) {
+      const uint32_t code = rel.column(idx[a]).code(row);
+      std::memcpy(key.data() + a * sizeof(uint32_t), &code, sizeof(uint32_t));
+    }
+    ++counts[key];
+  }
+  ProjectionStats stats;
+  stats.distinct = counts.size();
+  for (const auto& [k, c] : counts) {
+    if (c == 1) ++stats.singletons;
+  }
+  return stats;
+}
+
+/// Good–Turing estimate of the population distinct count from `m` of `n`
+/// rows (0 < m < n): each unseen row reveals a new key at the sample's
+/// singleton rate f1/m, and at most one, so d + (n − m) caps it.
+double EstimateDistinct(const ProjectionStats& stats, size_t m, size_t n) {
+  const double d = static_cast<double>(stats.distinct);
+  const double unseen = static_cast<double>(n - m);
+  const double f1 = static_cast<double>(stats.singletons);
+  return std::min(d + unseen * (f1 / static_cast<double>(m)), d + unseen);
+}
+
+/// One FD's measures estimated from the live sampled rows of a relation
+/// with `live_rows` live rows. Only a sampled witness pair is certain
+/// (two sampled rows agreeing on X and differing on Y exist in the full
+/// relation too), so `exact` means "no sampled witness": a sampled
+/// monitor never raises a false alarm, only possibly a late one. When the
+/// sample is every live row the counts are exact and go through
+/// MeasuresFromCounts, which makes a full-coverage sampled monitor
+/// bit-identical to an exact one.
+FdMeasures EstimateMeasures(const relation::Relation& rel,
+                            const std::vector<uint32_t>& rows,
+                            size_t live_rows, const Fd& fd) {
+  const size_t m = rows.size();
+  const ProjectionStats sx = Project(rel, rows, fd.lhs());
+  const ProjectionStats sxy = Project(rel, rows, fd.AllAttrs());
+  const ProjectionStats sy = Project(rel, rows, fd.rhs());
+  if (m >= live_rows) {
+    return MeasuresFromCounts(sx.distinct, sxy.distinct, sy.distinct);
+  }
+  // An empty sample of a non-empty relation knows nothing.
+  if (m == 0) return MeasuresFromCounts(0, 0, 0);
+
+  // Sampled excess: XY-keys beyond X-keys. e > 0 exhibits a witness
+  // pair, and the population excess is at least e, so the XY estimate is
+  // lifted to at least the X estimate plus e before forming the ratio.
+  const size_t e = sxy.distinct - sx.distinct;
+  const double est_x = EstimateDistinct(sx, m, live_rows);
+  const double est_xy = std::max(EstimateDistinct(sxy, m, live_rows),
+                                 est_x + static_cast<double>(e));
+  const double est_y = EstimateDistinct(sy, m, live_rows);
+
+  FdMeasures out;
+  out.distinct_x = static_cast<size_t>(std::llround(est_x));
+  out.distinct_xy = static_cast<size_t>(std::llround(est_xy));
+  out.distinct_y = static_cast<size_t>(std::llround(est_y));
+  out.confidence = est_x / est_xy;
+  out.goodness = std::llround(est_x - est_y);
+  out.exact = e == 0;
+  return out;
 }
 
 }  // namespace
@@ -90,7 +168,6 @@ SchemaMonitor::SchemaMonitor(MonitorCheckpoint checkpoint)
 
 void SchemaMonitor::RegisterFds(std::vector<Fd> fds) {
   monitored_.reserve(fds.size());
-  estimates_.reserve(fds.size());
   for (auto& f : fds) {
     AddFd(std::move(f));
   }
@@ -107,13 +184,11 @@ size_t SchemaMonitor::AddFd(Fd fd) {
   MonitoredFd m;
   m.fd = std::move(fd);
   Register(m.fd);
-  SampledMeasures est = Measure(m.fd, LiveSample());
-  m.measures = est.measures;
-  m.was_exact_at_registration = !est.witnessed_violation;
-  m.violated = est.witnessed_violation;
+  m.measures = Measure(m.fd, LiveSample());
+  m.was_exact_at_registration = m.measures.exact;
+  m.violated = !m.measures.exact;
   if (m.violated) m.first_violation_at = rel_->tuple_count();
   monitored_.push_back(std::move(m));
-  estimates_.push_back(std::move(est));
   return monitored_.size() - 1;
 }
 
@@ -127,7 +202,6 @@ void SchemaMonitor::Restore(
   }
   monitored_ = std::move(fds);
   drift_log_ = std::move(drift_log);
-  estimates_.reserve(monitored_.size());
   const relation::AttrSet all = rel_->schema().AllAttrs();
   const std::vector<uint32_t> sample = LiveSample();
   for (auto& m : monitored_) {
@@ -142,20 +216,19 @@ void SchemaMonitor::Restore(
     // re-estimating from the restored reservoir is a pure function of
     // (relation, reservoir slots).
     Register(m.fd);
-    SampledMeasures est = Measure(m.fd, sample);
     // Cross-check the carried measures only when the checkpoint holds no
     // unchecked inserts: with inserts_since_check == 0 the stored measures
     // were computed at exactly the current watermark, so a recomputation
     // must match bit for bit and a mismatch means a corrupt or mismatched
     // checkpoint. With pending inserts the stored measures are legitimately
     // stale (they date from the last check) and refresh at the next one.
-    if (inserts_since_check_ == 0 && !SameMeasures(est.measures, m.measures)) {
+    if (inserts_since_check_ == 0 &&
+        !(Measure(m.fd, sample) == m.measures)) {
       throw std::invalid_argument(
           "SchemaMonitor: checkpointed measures for " +
           m.fd.ToString(rel_->schema()) +
           " disagree with the relation (corrupt or mismatched checkpoint)");
     }
-    estimates_.push_back(std::move(est));
   }
 }
 
@@ -185,19 +258,15 @@ std::optional<query::ReservoirState> SchemaMonitor::ReservoirState() const {
   return sampler_->State();
 }
 
-SampledMeasures SchemaMonitor::Measure(const Fd& fd,
-                                       const std::vector<uint32_t>& sample) {
+FdMeasures SchemaMonitor::Measure(const Fd& fd,
+                                  const std::vector<uint32_t>& sample) {
   if (sampler_) {
     return EstimateMeasures(*rel_, sample, rel_->live_count(), fd);
   }
   // The evaluator auto-advances over the appended suffix (and folds any
   // pending deletions) on the first query; every monitored FD's counts
   // are then O(1) reads off the maintained groupings.
-  SampledMeasures exact;
-  exact.measures = ComputeMeasures(eval_, fd);
-  exact.sample_rows = exact.live_rows = rel_->live_count();
-  exact.witnessed_violation = !exact.measures.exact;
-  return exact;
+  return ComputeMeasures(eval_, fd);
 }
 
 std::vector<uint32_t> SchemaMonitor::LiveSample() const {
@@ -270,18 +339,13 @@ void SchemaMonitor::Count(size_t delta) {
   }
 }
 
-void SchemaMonitor::PushEvent(size_t fd_index, DriftKind kind,
-                              const SampledMeasures& est) {
+void SchemaMonitor::PushEvent(size_t fd_index, DriftKind kind, bool approx) {
   DriftEvent ev;
   ev.fd_index = fd_index;
   ev.tuple_count = rel_->live_count();
-  ev.measures = est.measures;
+  ev.measures = monitored_[fd_index].measures;
   ev.kind = kind;
-  ev.approx = est.approx;
-  ev.confidence_lo = est.confidence_lo;
-  ev.confidence_hi = est.confidence_hi;
-  ev.goodness_lo = est.goodness_lo;
-  ev.goodness_hi = est.goodness_hi;
+  ev.approx = approx;
   drift_log_.push_back(ev);
   if (on_drift_) on_drift_(ev);
 }
@@ -290,28 +354,28 @@ std::vector<size_t> SchemaMonitor::CheckNow() {
   Observe();
   ++checks_run_;
   const std::vector<uint32_t> sample = LiveSample();
+  // Events of a sampled monitor whose reservoir misses live rows carry
+  // estimated measures.
+  const bool approx = sampler_ && sample.size() < rel_->live_count();
   std::vector<size_t> violated;
   for (size_t i = 0; i < monitored_.size(); ++i) {
     MonitoredFd& m = monitored_[i];
     const bool was_violated = m.violated;
-    estimates_[i] = Measure(m.fd, sample);
-    const SampledMeasures& est = estimates_[i];
-    m.measures = est.measures;
-    m.violated = est.witnessed_violation;
+    m.measures = Measure(m.fd, sample);
+    m.violated = !m.measures.exact;
     if (m.violated) {
       violated.push_back(i);
       if (!was_violated) {
         m.first_violation_at = rel_->tuple_count();
-        PushEvent(i, DriftKind::kViolated, est);
+        PushEvent(i, DriftKind::kViolated, approx);
       }
     } else if (was_violated) {
       // The last violating witness pair is gone (deletes removed it, or a
       // sampled witness was evicted from the reservoir): the FD is exact
       // again. Unreachable for an exact monitor under append-only input.
       m.first_violation_at = 0;
-      PushEvent(i, DriftKind::kRecovered, est);
+      PushEvent(i, DriftKind::kRecovered, approx);
     }
-    if (on_estimate_) on_estimate_(i, est);
   }
   return violated;
 }
@@ -340,10 +404,9 @@ void SchemaMonitor::AcceptRepair(size_t fd_index, const Repair& repair) {
   MonitoredFd& m = monitored_.at(fd_index);
   m.fd = repair.repaired;
   Register(m.fd);
-  estimates_[fd_index] = Measure(m.fd, LiveSample());
-  m.measures = estimates_[fd_index].measures;
-  m.violated = estimates_[fd_index].witnessed_violation;
-  m.was_exact_at_registration = !m.violated;
+  m.measures = Measure(m.fd, LiveSample());
+  m.violated = !m.measures.exact;
+  m.was_exact_at_registration = m.measures.exact;
   m.first_violation_at = m.violated ? rel_->tuple_count() : 0;
 }
 

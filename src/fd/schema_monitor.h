@@ -26,17 +26,19 @@
 //
 //   * **sampled** (`capacity`/`seed` constructors) — measures are
 //     *estimated* from a deterministic reservoir sample
-//     (query::ReservoirSampler) under a fixed memory budget, with an error
-//     interval per estimate (fd/sampled_estimate.h). A sampled monitor
-//     flags "violated" only on *certain* evidence — a sampled witness pair
-//     (two sampled rows agreeing on X, differing on Y) — so it never raises
-//     a false drift alarm, only possibly a late one; recovery is reported
-//     when no sampled witness remains. The estimate sequence is a pure
-//     function of (seed, statement order): the sampler consumes a fixed
-//     number of draws per offered row, and checkpoints carry its full
-//     state. When the reservoir covers every row ever offered, estimation
-//     collapses to the exact arithmetic and the monitor is bit-identical to
-//     an exact one fed the same stream, checkpoint bytes included.
+//     (query::ReservoirSampler) under a fixed memory budget: Good–Turing
+//     point estimates of the distinct counts, with no error interval. The
+//     only certain signal a sample gives is a sampled witness pair (two
+//     sampled rows agreeing on X, differing on Y), so a sampled monitor
+//     flags "violated" only on a witness and its measures' `exact` means
+//     "no sampled witness". It never raises a false drift alarm, only
+//     possibly a late one; recovery is reported when no sampled witness
+//     remains. The estimate sequence is a pure function of (seed,
+//     statement order): the sampler consumes a fixed number of draws per
+//     offered row, and checkpoints carry its full state. When the
+//     reservoir covers every row ever offered, estimation collapses to the
+//     exact arithmetic and the monitor is bit-identical to an exact one
+//     fed the same stream, checkpoint bytes included.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +49,9 @@
 #include <string>
 #include <vector>
 
+#include "fd/fd.h"
+#include "fd/measures.h"
 #include "fd/repair_search.h"
-#include "fd/sampled_estimate.h"
 #include "query/distinct.h"
 #include "query/reservoir.h"
 #include "relation/relation.h"
@@ -82,17 +85,13 @@ struct DriftEvent {
   DriftKind kind = DriftKind::kViolated;
 
   /// True when the event came from a sampled monitor estimating from a
-  /// strict subset of the live rows; the interval fields below then
-  /// bracket the true confidence/goodness (see fd/sampled_estimate.h).
+  /// strict subset of the live rows: `measures` are then estimates, and
+  /// only the violation itself (a sampled witness pair) is certain.
   /// Exact monitors — and sampled monitors whose reservoir covered every
-  /// live row — leave all five fields at their defaults, so an exact
-  /// event serializes identically whichever measure source emitted it
-  /// (the sample_rate=1.0 bit-identity gate depends on this).
+  /// live row — leave it false, so an exact event serializes identically
+  /// whichever measure source emitted it (the sample_rate=1.0
+  /// bit-identity gate depends on this).
   bool approx = false;
-  double confidence_lo = 1.0;
-  double confidence_hi = 1.0;
-  double goodness_lo = 0.0;
-  double goodness_hi = 0.0;
 };
 
 /// Complete resumable state of a SchemaMonitor — everything a monitoring
@@ -233,21 +232,9 @@ class SchemaMonitor {
   const std::vector<MonitoredFd>& fds() const { return monitored_; }
   const std::vector<DriftEvent>& drift_log() const { return drift_log_; }
 
-  /// Latest per-FD measures with their intervals (parallel to fds();
-  /// refreshed at every check and at registration). Exact monitors report
-  /// degenerate intervals and approx == false.
-  const std::vector<SampledMeasures>& estimates() const { return estimates_; }
-
   /// Optional callback invoked on each new drift event.
   void OnDrift(std::function<void(const DriftEvent&)> cb) {
     on_drift_ = std::move(cb);
-  }
-
-  /// Invoked once per monitored FD per check with the fresh estimate —
-  /// the estimate *sequence* the determinism and resume suites assert on.
-  void OnEstimate(
-      std::function<void(size_t fd_index, const SampledMeasures&)> cb) {
-    on_estimate_ = std::move(cb);
   }
 
   /// Ingests one tuple; runs a check when the interval elapses.
@@ -336,9 +323,9 @@ class SchemaMonitor {
 
   // --- The mode-dependent steps; everything else is written once.
 
-  /// Measures one FD: exact counts off the evaluator (wrapped with
-  /// degenerate intervals), or an estimate from `sample`.
-  SampledMeasures Measure(const Fd& fd, const std::vector<uint32_t>& sample);
+  /// Measures one FD: exact counts off the evaluator, or an estimate from
+  /// `sample` (see the file comment).
+  FdMeasures Measure(const Fd& fd, const std::vector<uint32_t>& sample);
   /// Live reservoir members to estimate from (empty when exact).
   std::vector<uint32_t> LiveSample() const;
   /// Folds what happened to the relation into the measure source: exact
@@ -352,18 +339,17 @@ class SchemaMonitor {
   /// Adds `delta` mutations toward the next check and runs it when due.
   void Count(size_t delta);
 
-  /// Appends a drift event to the log and fires the callback.
-  void PushEvent(size_t fd_index, DriftKind kind, const SampledMeasures& est);
+  /// Appends a drift event carrying the FD's current measures to the log
+  /// and fires the callback.
+  void PushEvent(size_t fd_index, DriftKind kind, bool approx);
 
   std::unique_ptr<relation::Relation> owned_;  ///< null in external mode
   relation::Relation* rel_;                    ///< owned_ or the shared one
   query::DistinctEvaluator eval_;  ///< exact source; advanced, never rebuilt
   std::unique_ptr<query::ReservoirSampler> sampler_;  ///< null = exact
   std::vector<MonitoredFd> monitored_;
-  std::vector<SampledMeasures> estimates_;
   std::vector<DriftEvent> drift_log_;
   std::function<void(const DriftEvent&)> on_drift_;
-  std::function<void(size_t, const SampledMeasures&)> on_estimate_;
   size_t check_interval_;
   size_t inserts_since_check_ = 0;  ///< mutations accumulated toward a check
   size_t checks_run_ = 0;

@@ -8,7 +8,17 @@
 
 #if defined(FDEVOLVE_X86_KERNELS)
 
+// GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized ('__Y' in the
+// masked-intrinsic fallbacks) once inlined at -O3. Silenced for the header
+// only: an uninitialized read in this file's own code still fails -Werror.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #include <cassert>
 

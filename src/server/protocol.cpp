@@ -21,12 +21,7 @@ std::string FormatDrift(const std::string& table, const fd::DriftEvent& event,
                      " fd_index=" + std::to_string(event.fd_index) +
                      " tuples=" + std::to_string(event.tuple_count) +
                      " confidence=" + std::to_string(event.measures.confidence);
-  if (event.approx) {
-    line += " approx=1 confidence_lo=" + std::to_string(event.confidence_lo) +
-            " confidence_hi=" + std::to_string(event.confidence_hi) +
-            " goodness_lo=" + std::to_string(event.goodness_lo) +
-            " goodness_hi=" + std::to_string(event.goodness_hi);
-  }
+  if (event.approx) line += " approx=1";
   line += " kind=";
   line += event.kind == fd::DriftKind::kRecovered ? "recovered" : "violated";
   line += " fd=" + fd_text;

@@ -2,9 +2,11 @@
 //
 // Requests: one SQL statement per line (LF-terminated; a trailing CR is
 // stripped so `nc -C` and telnet-style clients work). Empty lines are
-// ignored. The dialect is the full sql/ grammar: SELECT COUNT, INSERT,
-// DELETE, UPDATE, CREATE TABLE, DECLARE FD ... ON t [EVERY n],
-// EXPLAIN REPAIR ... ON t, SUBSCRIBE DRIFT ON t, CHECKPOINT, SHUTDOWN.
+// ignored. A line longer than kMaxRequestLine bytes gets one ERR reply
+// and the server closes that session. The dialect is the full sql/
+// grammar: SELECT COUNT, INSERT, DELETE, UPDATE, CREATE TABLE,
+// DECLARE FD ... ON t [EVERY n], EXPLAIN REPAIR ... ON t,
+// SUBSCRIBE DRIFT ON t, CHECKPOINT, SHUTDOWN.
 //
 // Replies: exactly one line per request —
 //
@@ -19,18 +21,16 @@
 // Pushes: sessions that issued SUBSCRIBE DRIFT ON t additionally receive
 // asynchronous lines
 //
-//   DRIFT table=<t> fd_index=<i> tuples=<n> confidence=<c>
-//         [approx=1 confidence_lo=<l> confidence_hi=<h>
-//          goodness_lo=<l> goodness_hi=<h>]
+//   DRIFT table=<t> fd_index=<i> tuples=<n> confidence=<c> [approx=1]
 //         kind=<violated|recovered> fd=<text>
 //
 // (one line on the wire) whenever a monitored FD on t crosses the
 // exact/violated boundary: kind=violated when an insert broke a
 // previously-exact FD, kind=recovered when deletes removed the last
-// violating witness and the FD is exact again. The bracketed fields
-// appear only on events from a sampled monitor (DECLARE FD ... SAMPLE k)
-// whose reservoir did not cover every live row: the measures are then
-// estimates and the lo/hi pairs bound them. DRIFT lines can
+// violating witness and the FD is exact again. approx=1 appears only on
+// events from a sampled monitor (DECLARE FD ... SAMPLE k) whose reservoir
+// did not cover every live row: the confidence is then an estimate, and
+// only the violation (a sampled witness pair) is certain. DRIFT lines can
 // arrive at ANY point between — or even before — reply lines (a session
 // subscribed to a table it inserts into sees the DRIFT its own insert
 // triggered before that insert's OK). Clients must therefore read lines
@@ -39,6 +39,7 @@
 // the table schema and may contain spaces; it is always the final field.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -46,6 +47,10 @@
 #include "fd/schema_monitor.h"
 
 namespace fdevolve::server {
+
+/// Longest request line the server accepts (bytes, excluding the LF) —
+/// far above any real statement, but it bounds a session's buffer.
+inline constexpr size_t kMaxRequestLine = size_t{16} << 20;
 
 /// Formats the one-line success reply (no trailing newline).
 std::string FormatOk(uint64_t value);

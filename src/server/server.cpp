@@ -141,6 +141,7 @@ void Server::SessionLoop(Connection* conn) {
       [this, conn](const std::string& line) { return WriteLine(conn, line); });
 
   std::string buffer;
+  size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -149,7 +150,10 @@ void Server::SessionLoop(Connection* conn) {
     if (n <= 0) break;  // EOF or error (including shutdown()'s wake-up)
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    // The search resumes where the previous read's ended, so a line that
+    // arrives over many reads costs O(length), not O(length^2).
+    for (size_t nl = buffer.find('\n', scanned);
+         nl != std::string::npos && nl - start <= kMaxRequestLine;
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
@@ -167,6 +171,15 @@ void Server::SessionLoop(Connection* conn) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (open && buffer.size() > kMaxRequestLine) {
+      // An oversized line, whole or partial: refuse it and close the
+      // session rather than buffer without bound.
+      WriteLine(conn, FormatError("request line longer than " +
+                                  std::to_string(kMaxRequestLine) +
+                                  " bytes; closing the session"));
+      open = false;
+    }
   }
   service_.CloseSession(session);
   ::shutdown(conn->fd, SHUT_RDWR);

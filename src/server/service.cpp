@@ -129,8 +129,8 @@ void Service::InstallDriftCallback(TableEntry* entry,
                                    const std::string& table) {
   // Invoked by the monitor during Poll(), i.e. under the table's
   // exclusive lock — the subscriber list is stable for the duration and
-  // pushes happen in commit order. FormatDrift adds the approx + interval
-  // fields for approximate (sampled) events.
+  // pushes happen in commit order. FormatDrift adds approx=1 for
+  // approximate (sampled) events.
   monitor->OnDrift([entry, monitor, table](const fd::DriftEvent& ev) {
     const fd::MonitoredFd& mfd = monitor->fds()[ev.fd_index];
     std::string line = FormatDrift(
@@ -328,37 +328,23 @@ std::vector<std::string> Service::TableNames() const {
   return names;
 }
 
-template <typename Read>
-auto Service::ReadMonitor(const std::string& table, bool sampled,
-                          Read read) const {
-  decltype(read(std::declval<const fd::SchemaMonitor&>())) out{};
+std::vector<fd::DriftEvent> Service::DriftLogOf(const std::string& table,
+                                                bool sampled) const {
   std::shared_lock cat(catalog_mutex_);
   auto it = tables_.find(table);
-  if (it == tables_.end()) return out;
+  if (it == tables_.end()) return {};
   std::shared_lock tl(it->second->mutex);
   const auto& monitor = sampled ? it->second->sampled : it->second->monitor;
-  if (monitor) out = read(*monitor);
-  return out;
+  return monitor ? monitor->drift_log() : std::vector<fd::DriftEvent>{};
 }
 
 std::vector<fd::DriftEvent> Service::DriftLog(const std::string& table) const {
-  return ReadMonitor(table, false, [](const fd::SchemaMonitor& m) {
-    return m.drift_log();
-  });
+  return DriftLogOf(table, false);
 }
 
 std::vector<fd::DriftEvent> Service::SampledDriftLog(
     const std::string& table) const {
-  return ReadMonitor(table, true, [](const fd::SchemaMonitor& m) {
-    return m.drift_log();
-  });
-}
-
-std::vector<fd::SampledMeasures> Service::SampledEstimates(
-    const std::string& table) const {
-  return ReadMonitor(table, true, [](const fd::SchemaMonitor& m) {
-    return m.estimates();
-  });
+  return DriftLogOf(table, true);
 }
 
 }  // namespace fdevolve::server

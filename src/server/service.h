@@ -124,15 +124,10 @@ class Service {
   std::vector<fd::DriftEvent> DriftLog(const std::string& table) const;
 
   /// Drift log of a table's *sampled* monitor (empty if none). Sampled
-  /// events carry approx=true + intervals unless the reservoir covered
-  /// every live row at the transition. The frozen benchmark (perfbench/)
-  /// names this accessor too.
+  /// events carry approx=true (estimated measures, witnessed violation)
+  /// unless the reservoir covered every live row at the transition. The
+  /// frozen benchmark (perfbench/) names this accessor too.
   std::vector<fd::DriftEvent> SampledDriftLog(const std::string& table) const;
-
-  /// Latest per-FD estimates of a table's sampled monitor (empty if
-  /// none) — what the estimate-sequence suites assert on.
-  std::vector<fd::SampledMeasures> SampledEstimates(
-      const std::string& table) const;
 
  private:
   struct SessionRec {
@@ -189,10 +184,10 @@ class Service {
   /// catalog lock.
   std::vector<storage::ServerMonitorState> MonitorStates() const;
 
-  /// `read` applied to a table's exact or sampled monitor under the
-  /// shared locks; a default result when the table or monitor is absent.
-  template <typename Read>
-  auto ReadMonitor(const std::string& table, bool sampled, Read read) const;
+  /// Drift log of a table's exact or sampled monitor, read under the
+  /// shared locks; empty when the table or monitor is absent.
+  std::vector<fd::DriftEvent> DriftLogOf(const std::string& table,
+                                         bool sampled) const;
 
   std::shared_ptr<SessionRec> FindSession(SessionId id);
 

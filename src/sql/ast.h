@@ -119,8 +119,8 @@ struct CreateTableStatement {
 /// table's monitor. Columns are stored by name; the engine resolves them
 /// against the table's schema at execution time. With SAMPLE, validation
 /// runs on a seeded reservoir sample of k rows instead of the full
-/// relation (the table's sampled fd::SchemaMonitor) and drift events carry
-/// estimates with error intervals.
+/// relation (the table's sampled fd::SchemaMonitor): drift events carry
+/// point estimates, and only a sampled witness pair flags a violation.
 struct DeclareFdStatement {
   std::string table;
   std::vector<std::string> lhs;

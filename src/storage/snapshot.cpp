@@ -292,14 +292,9 @@ void WriteFdsAndDrift(BinaryWriter& w, const std::vector<fd::MonitoredFd>& fds,
     // v2: the event's direction. v1 files predate recovery events, so the
     // reader's default (kViolated = 0) is exactly what they meant.
     w.U8(static_cast<uint8_t>(ev.kind));
-    // v3: sampled-estimate fields. Exact events write their defaults
-    // (approx=0, degenerate intervals) — which is also what v1/v2 files
-    // load as, since their writers only had exact monitors.
+    // v3: the approx byte. Exact events write 0 — which is also what
+    // v1/v2 files load as, since their writers only had exact monitors.
     w.U8(ev.approx ? 1 : 0);
-    w.F64(ev.confidence_lo);
-    w.F64(ev.confidence_hi);
-    w.F64(ev.goodness_lo);
-    w.F64(ev.goodness_hi);
   }
 }
 
@@ -343,10 +338,11 @@ void ReadFdsAndDrift(BinaryReader& r, uint32_t version,
                                   std::to_string(approx));
       }
       ev.approx = approx != 0;
-      ev.confidence_lo = r.F64();
-      ev.confidence_hi = r.F64();
-      ev.goodness_lo = r.F64();
-      ev.goodness_hi = r.F64();
+    }
+    if (version == 3) {
+      // v3's four interval doubles (confidence lo/hi, goodness lo/hi),
+      // which v4 no longer carries.
+      for (int k = 0; k < 4; ++k) r.F64();
     }
     drift_log->push_back(std::move(ev));
   }

@@ -26,7 +26,7 @@
 // File layout (all integers little-endian, see util/binary_io.h):
 //
 //   offset 0: magic "FDEV"            (4 bytes)
-//             format version u32     (currently 3; v1/v2 files still load)
+//             format version u32     (currently 4; v1–v3 files still load)
 //             payload kind u32       (1 = relation, 2 = database,
 //                                     3 = monitor checkpoint,
 //                                     4 = server state,
@@ -45,14 +45,18 @@
 //        as an all-live relation whose drift events default to violated
 //        — exactly what v1 writers could express.
 //   v3 — each drift-log entry additionally carries an approx byte and
-//        four interval doubles (confidence lo/hi, goodness lo/hi; see
-//        fd::DriftEvent — all-default for exact events), the server-state
+//        four interval doubles (confidence lo/hi, goodness lo/hi;
+//        all-default for exact events), the server-state
 //        payload ends with a sampled-monitor section (count + per-entry
 //        table name, monitor state, reservoir state; empty when no
 //        sampled monitors exist), and kind 5 serializes a standalone
 //        checkpoint with a reservoir. v1/v2 files load with exact-event
 //        defaults and an empty sampled section — exactly what their
 //        writers could express.
+//   v4 — drift-log entries drop the four interval doubles and keep the
+//        kind and approx bytes: the sampled monitor reports point
+//        estimates and witnessed violations only. A v3 file loads with
+//        its approx byte validated and its doubles discarded.
 //
 // Integrity policy: loads verify size, magic, version, kind, and checksum
 // before parsing, then parse with bounds-checked reads and validate every
@@ -62,7 +66,7 @@
 // with a clean error — never a crash, never a silently wrong object.
 // Version policy: the u32 after the magic is bumped on any layout change;
 // readers accept every version they know how to parse (currently 1
-// through 3) and reject the rest (no silent best-effort parsing of future
+// through 4) and reject the rest (no silent best-effort parsing of future
 // formats). Writers always emit the current version.
 //
 // Bit-identity contract: a loaded snapshot reproduces the encoded state
@@ -86,7 +90,7 @@ namespace fdevolve::storage {
 
 /// Format version written by this build. Readers accept every version in
 /// [kMinFormatVersion, kFormatVersion] (see the version history above).
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 inline constexpr uint32_t kMinFormatVersion = 1;
 
 /// Result of loading a relation snapshot (mirrors relation::CsvResult).

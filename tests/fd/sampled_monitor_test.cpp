@@ -28,38 +28,6 @@ Fd XtoY() { return Fd(AttrSet::Of({0}), AttrSet::Of({1})); }
 
 std::vector<Value> Row(int64_t x, int64_t y) { return {Value(x), Value(y)}; }
 
-/// Records every estimate callback as (fd_index, confidence, lo, hi) for
-/// sequence comparison — the resume gate compares these bitwise.
-struct EstimateLog {
-  struct Entry {
-    size_t fd_index;
-    double confidence;
-    double lo, hi;
-    bool approx;
-  };
-  std::vector<Entry> entries;
-
-  void Attach(SampledSchemaMonitor* mon) {
-    mon->OnEstimate([this](size_t i, const SampledMeasures& est) {
-      entries.push_back({i, est.measures.confidence, est.confidence_lo,
-                         est.confidence_hi, est.approx});
-    });
-  }
-};
-
-bool SameEntries(const EstimateLog& a, const EstimateLog& b) {
-  if (a.entries.size() != b.entries.size()) return false;
-  for (size_t i = 0; i < a.entries.size(); ++i) {
-    const auto& ea = a.entries[i];
-    const auto& eb = b.entries[i];
-    if (ea.fd_index != eb.fd_index || ea.confidence != eb.confidence ||
-        ea.lo != eb.lo || ea.hi != eb.hi || ea.approx != eb.approx) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(SampledMonitorTest, FullCoverageMatchesExactMonitorBitIdentically) {
   // Capacity above everything ever appended: Algorithm R never evicts,
   // the sample IS the relation, and the sampled monitor must agree with
@@ -95,12 +63,6 @@ TEST(SampledMonitorTest, FullCoverageMatchesExactMonitorBitIdentically) {
     EXPECT_EQ(a.tuple_count, b.tuple_count);
     EXPECT_EQ(a.measures.confidence, b.measures.confidence);
     EXPECT_FALSE(b.approx);  // full coverage serializes like an exact event
-    EXPECT_EQ(b.confidence_lo, 1.0);
-    EXPECT_EQ(b.confidence_hi, 1.0);
-  }
-  for (const SampledMeasures& est : sampled.estimates()) {
-    EXPECT_FALSE(est.approx);
-    EXPECT_EQ(est.sample_rows, est.live_rows);
   }
 }
 
@@ -112,14 +74,14 @@ TEST(SampledMonitorTest, NeverRaisesFalseAlarmOnExactStream) {
   for (int i = 0; i < 400; ++i) mon.Insert(Row(i % 20, (i % 20) * 3));
   EXPECT_TRUE(mon.drift_log().empty());
   EXPECT_FALSE(mon.fds()[0].violated);
-  EXPECT_FALSE(mon.estimates()[0].witnessed_violation);
+  EXPECT_TRUE(mon.fds()[0].measures.exact);
 }
 
 TEST(SampledMonitorTest, WitnessedViolationFlagsApproxDriftWithIntervals) {
   // An exact prefix far beyond the capacity, then a flood of rows sharing
   // x=1 with fresh y's: any two sampled suffix rows witness the
   // violation, and because coverage is partial by the time one does, the
-  // drift event must carry approx=true and a coherent interval.
+  // drift event must carry approx=true and the estimated measures.
   SampledSchemaMonitor mon(XyRelation(), {XtoY()}, /*check_interval=*/1,
                            /*capacity=*/5, /*seed=*/11);
   for (int i = 0; i < 50; ++i) mon.Insert(Row(100 + i, i * 2));  // exact
@@ -128,18 +90,11 @@ TEST(SampledMonitorTest, WitnessedViolationFlagsApproxDriftWithIntervals) {
   const DriftEvent& ev = mon.drift_log()[0];
   EXPECT_EQ(ev.kind, DriftKind::kViolated);
   EXPECT_TRUE(ev.approx);
-  EXPECT_LE(ev.confidence_lo, ev.measures.confidence);
-  EXPECT_LE(ev.measures.confidence, ev.confidence_hi);
-  EXPECT_LE(ev.goodness_lo, ev.goodness_hi);
+  EXPECT_FALSE(ev.measures.exact);
+  EXPECT_GT(ev.measures.confidence, 0.0);
+  EXPECT_LT(ev.measures.confidence, 1.0);
   EXPECT_TRUE(mon.fds()[0].violated);
-
-  const SampledMeasures& est = mon.estimates()[0];
-  EXPECT_TRUE(est.approx);
-  EXPECT_TRUE(est.witnessed_violation);
-  EXPECT_LT(est.sample_rows, est.live_rows);
-  EXPECT_LE(est.confidence_lo, est.confidence_hi);
-  EXPECT_GE(est.confidence_lo, 0.0);
-  EXPECT_LE(est.confidence_hi, 1.0);
+  EXPECT_FALSE(mon.fds()[0].measures.exact);
 }
 
 TEST(SampledMonitorTest, DeleteOfWitnessRecoversAtFullCoverage) {
@@ -181,18 +136,16 @@ TEST(SampledMonitorTest, CheckpointResumeReplaysIdenticalEstimateSequence) {
   MonitorCheckpoint ckpt = a.Checkpoint();
   SampledSchemaMonitor b(std::move(ckpt));
 
-  EstimateLog la, lb;
-  la.Attach(&a);
-  lb.Attach(&b);
+  // The measures after every insert — the estimate sequence, bitwise.
   for (int i = 50; i < 120; ++i) {
     a.Insert(Row(i % 7, i % 13));
     b.Insert(Row(i % 7, i % 13));
+    EXPECT_TRUE(a.fds()[0].measures == b.fds()[0].measures)
+        << "resumed monitor diverged from the uninterrupted one at row " << i;
   }
   a.CheckNow();
   b.CheckNow();
-  EXPECT_FALSE(la.entries.empty());
-  EXPECT_TRUE(SameEntries(la, lb))
-      << "resumed monitor diverged from the uninterrupted one";
+  EXPECT_TRUE(a.fds()[0].measures == b.fds()[0].measures);
   EXPECT_EQ(a.checks_run(), b.checks_run());
   ASSERT_EQ(a.drift_log().size(), b.drift_log().size());
 }
@@ -207,13 +160,14 @@ TEST(SampledMonitorTest, ExternalStateRestoreCrossChecksMeasures) {
   }
   MonitorState state = mon.State();
 
-  // Clean restore reproduces the estimates.
+  // Clean restore reproduces the estimates, and the next check on the
+  // same rows recomputes them bit for bit.
   SampledSchemaMonitor restored(&rel, state);
-  ASSERT_EQ(restored.estimates().size(), mon.estimates().size());
-  EXPECT_EQ(restored.estimates()[0].measures.confidence,
-            mon.estimates()[0].measures.confidence);
-  EXPECT_EQ(restored.estimates()[0].confidence_lo,
-            mon.estimates()[0].confidence_lo);
+  ASSERT_EQ(restored.fds().size(), mon.fds().size());
+  EXPECT_TRUE(restored.fds()[0].measures == mon.fds()[0].measures);
+  restored.CheckNow();
+  mon.CheckNow();
+  EXPECT_TRUE(restored.fds()[0].measures == mon.fds()[0].measures);
 
   // Tampered carried measures fail the re-estimation cross-check.
   MonitorState tampered = mon.State();
@@ -245,9 +199,10 @@ TEST(SampledMonitorTest, CompactionOnCheckBoundaryKeepsEstimatesCoherent) {
   mon.Poll();
   rel.Compact();  // exactly at a poll boundary
   mon.Poll();
-  const SampledMeasures& est = mon.estimates()[0];
-  EXPECT_LE(est.sample_rows, 10u);
-  EXPECT_EQ(est.live_rows, rel.live_count());
+  // Each unseen row adds at most one key, so no Good–Turing estimate
+  // exceeds the live row count.
+  EXPECT_LE(mon.fds()[0].measures.distinct_xy, rel.live_count());
+  EXPECT_TRUE(mon.fds()[0].measures.exact);
   EXPECT_FALSE(mon.fds()[0].violated);  // stream stayed exact throughout
   EXPECT_TRUE(mon.drift_log().empty());
 }

@@ -295,6 +295,7 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
               sampled.fds()[i].measures.confidence);
     EXPECT_EQ(exact.fds()[i].measures.goodness,
               sampled.fds()[i].measures.goodness);
+    EXPECT_EQ(exact.fds()[i].measures.exact, sampled.fds()[i].measures.exact);
     EXPECT_EQ(exact.fds()[i].violated, sampled.fds()[i].violated);
   }
   ASSERT_EQ(exact.drift_log().size(), sampled.drift_log().size());
@@ -303,11 +304,6 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
     EXPECT_EQ(exact.drift_log()[e].tuple_count,
               sampled.drift_log()[e].tuple_count);
     EXPECT_FALSE(sampled.drift_log()[e].approx);
-  }
-  // Full coverage keeps every estimate in the exact regime.
-  for (const fd::SampledMeasures& est : sampled.estimates()) {
-    EXPECT_FALSE(est.approx);
-    EXPECT_EQ(est.sample_rows, est.live_rows);
   }
   // Checkpoint bytes: the sampled monitor's base checkpoint serializes
   // to exactly the file an exact monitor would write.
@@ -326,7 +322,7 @@ TEST_P(MutationFuzz, SampledFullCoverageIsBitIdenticalToExactMonitor) {
 TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
   // Partial coverage (tiny reservoir), random mutations, checkpoint at a
   // random boundary: the resumed monitor must replay the identical
-  // remaining estimate sequence — bitwise, intervals included.
+  // remaining estimate sequence, bitwise.
   util::Rng rng(seed() + 113);
   const int n_attrs = 3;
   Relation rel("mut", IntSchema(n_attrs));
@@ -346,32 +342,31 @@ TEST_P(MutationFuzz, SampledCheckpointResumeReplaysIdenticalEstimates) {
   ASSERT_TRUE(ckpt.ok()) << ckpt.error;
   fd::SampledSchemaMonitor resumed(std::move(*ckpt.checkpoint));
 
-  std::vector<double> live_seq, resumed_seq;
-  live.OnEstimate([&](size_t, const fd::SampledMeasures& est) {
-    live_seq.push_back(est.measures.confidence);
-    live_seq.push_back(est.confidence_lo);
-    live_seq.push_back(est.confidence_hi);
-  });
-  resumed.OnEstimate([&](size_t, const fd::SampledMeasures& est) {
-    resumed_seq.push_back(est.measures.confidence);
-    resumed_seq.push_back(est.confidence_lo);
-    resumed_seq.push_back(est.confidence_hi);
-  });
   // Identical suffix fed to both. The resumed monitor owns its relation,
   // so drive it through Insert; the live one stays external via Poll.
+  // The measures after every step are the estimate sequence.
+  const auto expect_same = [&](const std::string& where) {
+    const fd::FdMeasures& a = live.fds()[0].measures;
+    const fd::FdMeasures& b = resumed.fds()[0].measures;
+    EXPECT_EQ(a.confidence, b.confidence) << where;
+    EXPECT_EQ(a.goodness, b.goodness) << where;
+    EXPECT_EQ(a.distinct_x, b.distinct_x) << where;
+    EXPECT_EQ(a.distinct_xy, b.distinct_xy) << where;
+    EXPECT_EQ(a.distinct_y, b.distinct_y) << where;
+    EXPECT_EQ(a.exact, b.exact) << where;
+  };
   for (int step = 0; step < 40; ++step) {
     std::vector<Value> row = RandomRow(rng, n_attrs, 4, 0.0);
     rel.AppendRow(row);
     live.Poll();
     resumed.Insert(row);
+    expect_same("step " + std::to_string(step));
   }
   live.CheckNow();
   resumed.CheckNow();
-  ASSERT_FALSE(live_seq.empty());
-  ASSERT_EQ(live_seq.size(), resumed_seq.size());
-  for (size_t i = 0; i < live_seq.size(); ++i) {
-    EXPECT_EQ(live_seq[i], resumed_seq[i]) << "estimate " << i;
-  }
+  expect_same("final check");
+  EXPECT_EQ(live.checks_run(), resumed.checks_run());
+  ASSERT_EQ(live.drift_log().size(), resumed.drift_log().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz, ::testing::Range(0, 8));

@@ -1,14 +1,20 @@
 // End-to-end TCP tests: real sockets, real threads, the same Client the
 // bench driver and smoke script use.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
 
 namespace fdevolve::server {
@@ -171,6 +177,68 @@ TEST(ServerSocketTest, ManyConcurrentClientsOverTcp) {
   EXPECT_EQ(count.value,
             static_cast<uint64_t>(kClients * kInsertsEach));
   check.Request("SHUTDOWN");
+  EXPECT_TRUE(server.Wait(&error)) << error;
+}
+
+/// Sends `bytes` over a fresh raw connection, then reads until the server
+/// closes it; returns everything read ("" on a connect or send failure).
+std::string SendRawAndReadToClose(uint16_t port, const std::string& bytes) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string out;
+  bool sent = ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)) == 0;
+  for (size_t off = 0; sent && off < bytes.size();) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) sent = false;
+    else off += static_cast<size_t>(n);
+  }
+  char chunk[4096];
+  for (ssize_t n; sent && (n = ::read(fd, chunk, sizeof(chunk))) != 0;) {
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) break;
+    out.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
+}
+
+TEST(ServerSocketTest, OversizedRequestLineGetsErrAndCloses) {
+  Server server(Server::Options{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port(), &error)) << error;
+  ASSERT_TRUE(client.Request("CREATE TABLE t (a INT64)").ok);
+
+  // A long but legal line arrives over many reads and still executes.
+  std::string insert = "INSERT INTO t VALUES (0)";
+  for (int i = 1; i < 20000; ++i) insert += ", (" + std::to_string(i) + ")";
+  ASSERT_GT(insert.size(), 100000u);
+  auto ins = client.Request(insert);
+  EXPECT_TRUE(ins.ok) << ins.error;
+  EXPECT_EQ(ins.value, 20000u);
+
+  // One byte over the cap and no newline: the server has read every byte
+  // when it refuses, replies ERR once and closes the session.
+  const std::string reply = SendRawAndReadToClose(
+      server.port(), std::string(kMaxRequestLine + 1, 'x'));
+  EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply.substr(0, 200);
+  EXPECT_NE(reply.find("longer than"), std::string::npos) << reply;
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << "expected one line";
+
+  // Other sessions are unaffected.
+  auto count = client.Request("SELECT COUNT(*) FROM t");
+  EXPECT_TRUE(count.ok) << count.error;
+  EXPECT_EQ(count.value, 20000u);
+  client.Request("SHUTDOWN");
   EXPECT_TRUE(server.Wait(&error)) << error;
 }
 

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fd/measures.h"
 #include "fd/sampled_monitor.h"
@@ -474,11 +476,9 @@ TEST(SnapshotTest, SampledCheckpointRoundTripIsByteStable) {
   EXPECT_EQ(back.checks_run(), mon.checks_run());
   EXPECT_EQ(back.sample_capacity(), mon.sample_capacity());
   EXPECT_EQ(back.sample_seed(), mon.sample_seed());
-  ASSERT_EQ(back.estimates().size(), mon.estimates().size());
-  EXPECT_EQ(back.estimates()[0].confidence_lo,
-            mon.estimates()[0].confidence_lo);
-  EXPECT_EQ(back.estimates()[0].confidence_hi,
-            mon.estimates()[0].confidence_hi);
+  ASSERT_EQ(back.fds().size(), mon.fds().size());
+  EXPECT_EQ(back.fds()[0].measures.confidence,
+            mon.fds()[0].measures.confidence);
   EXPECT_EQ(back.fds()[0].violated, mon.fds()[0].violated);
 }
 
@@ -531,10 +531,8 @@ TEST(SnapshotTest, ApproxDriftEventSurvivesSampledCheckpoint) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const fd::DriftEvent& back = loaded.checkpoint->drift_log[0];
   EXPECT_TRUE(back.approx);
-  EXPECT_EQ(back.confidence_lo, ev.confidence_lo);
-  EXPECT_EQ(back.confidence_hi, ev.confidence_hi);
-  EXPECT_EQ(back.goodness_lo, ev.goodness_lo);
-  EXPECT_EQ(back.goodness_hi, ev.goodness_hi);
+  EXPECT_EQ(back.kind, ev.kind);
+  EXPECT_EQ(back.measures.confidence, ev.measures.confidence);
 }
 
 TEST(SnapshotTest, ServerStateCarriesSampledSection) {
@@ -622,10 +620,11 @@ TEST(SnapshotTest, DuplicateSampledMonitorStatesAreRejected) {
       << err;
 }
 
-// --- Pinned bytes. Each fixture below is deterministic; its FDEV v3 blob
-// --- was recorded (length and FNV-1a trailer) from the writer that
-// --- predates the single monitor class, so any change to the bytes of
-// --- kinds 3, 4 or 5 fails here.
+// --- Pinned bytes. Each fixture below is deterministic; its FDEV v4 blob
+// --- is its v3 blob (recorded from the writer that predates the single
+// --- monitor class) with the version set to 4, the four interval doubles
+// --- cut from every drift entry and the trailer recomputed, so any other
+// --- change to the bytes of kinds 3, 4 or 5 fails here.
 
 Schema PinSchema() {
   return Schema({{"a", DataType::kInt64},
@@ -662,7 +661,7 @@ TEST(SnapshotTest, PinnedExactCheckpointBytes) {
   ckpt.stream_batch_hint = 3;
   const std::string bytes = SerializeCheckpoint(ckpt);
   EXPECT_EQ(bytes[8], 3);  // kind
-  ExpectPinned(bytes, 1159, 0x74f5e50d173bda59ULL);
+  ExpectPinned(bytes, 1095, 0x44e2d123d25900e9ULL);
 
   auto loaded = DeserializeCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
@@ -673,10 +672,17 @@ TEST(SnapshotTest, PinnedExactCheckpointBytes) {
   EXPECT_EQ(SerializeCheckpoint(again), bytes);
 }
 
+/// Emplaces the sampled monitor behind the pinned kind-5 checkpoint.
+void EmplacePinnedSampled(std::optional<fd::SchemaMonitor>& mon) {
+  mon.emplace(Relation("pin", PinSchema()), std::vector<fd::Fd>{kPinAb, kPinBc},
+              /*check_interval=*/2, /*capacity=*/6, /*seed=*/17);
+  for (int64_t i = 0; i < 31; ++i) mon->Insert(PinRow(i));
+}
+
 TEST(SnapshotTest, PinnedSampledCheckpointBytes) {
-  fd::SchemaMonitor mon(Relation("pin", PinSchema()), {kPinAb, kPinBc},
-                        /*check_interval=*/2, /*capacity=*/6, /*seed=*/17);
-  for (int64_t i = 0; i < 31; ++i) mon.Insert(PinRow(i));
+  std::optional<fd::SchemaMonitor> mon_opt;
+  EmplacePinnedSampled(mon_opt);
+  fd::SchemaMonitor& mon = *mon_opt;
   bool approx = false;
   for (const auto& ev : mon.drift_log()) approx |= ev.approx;
   ASSERT_TRUE(approx) << "fixture must reach partial coverage";
@@ -684,7 +690,7 @@ TEST(SnapshotTest, PinnedSampledCheckpointBytes) {
   ckpt.stream_batch_hint = 2;
   const std::string bytes = SerializeCheckpoint(ckpt);
   EXPECT_EQ(bytes[8], 5);  // kind
-  ExpectPinned(bytes, 1421, 0x1db10507f5211515ULL);
+  ExpectPinned(bytes, 1293, 0xaa9cb1d1e828153bULL);
 
   auto loaded = DeserializeCheckpoint(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
@@ -693,6 +699,108 @@ TEST(SnapshotTest, PinnedSampledCheckpointBytes) {
   fd::MonitorCheckpoint again = back.Checkpoint();
   again.stream_batch_hint = 2;
   EXPECT_EQ(SerializeCheckpoint(again), bytes);
+}
+
+/// The pinned kind-5 checkpoint as the v3 writer laid it out: each drift
+/// entry followed its approx byte with four interval doubles (confidence
+/// lo/hi, goodness lo/hi).
+std::string V3SampledCheckpoint() {
+  static const char kHex[] =
+    "464445560300000005000000030000000000000070696e03000000010000000000000061"
+    "0001000000000000006202010000000000000063011f0000000000000000000000000000"
+    "000500000000000000000000000000000001000000000000000200000000000000030000"
+    "000000000004000000000000001f00000000000000000000000100000002000000030000"
+    "000400000000000000010000000200000003000000040000000000000001000000020000"
+    "000300000004000000000000000100000002000000030000000400000000000000010000"
+    "000200000003000000040000000000000001000000020000000300000004000000000000"
+    "000000000000000000070000000000000002000000000000006b3002000000000000006b"
+    "3102000000000000006b3202000000000000006b3302000000000000006b340200000000"
+    "0000006b3602000000000000006b351f0000000000000000000000010000000200000003"
+    "000000040000000000000001000000020000000300000004000000000000000100000002"
+    "000000040000000500000000000000020000000400000003000000060000000200000001"
+    "000000030000000600000004000000010000000300000002000000040000000500000000"
+    "000000000000000000000010000000000000000000000000000000000000000000e03f00"
+    "0000000000f03f000000000000f83f000000000000004000000000000014400000000000"
+    "001540000000000000164000000000000017400000000000001840000000000000194000"
+    "00000000001a400000000000001b400000000000001c400000000000001d400000000000"
+    "001e401f0000000000000000000000010000000200000003000000040000000000000001"
+    "000000020000000300000004000000000000000100000002000000030000000400000000"
+    "000000010000000200000003000000040000000500000006000000070000000800000009"
+    "0000000a0000000b0000000c0000000d0000000e0000000f00000000000000000000001f"
+    "000000000000000000000000000000000000000000000002000000000000000100000000"
+    "0000000f0000000000000002000000000000000200000000000000000000000100000000"
+    "00000001000000010000000c000000000000001500000000000000150000000000000092"
+    "2449922449e23ff7ffffffffffffff000101180000000000000000000000000000000100"
+    "000001000000010000000200000015000000000000001e000000000000001e0000000000"
+    "0000666666666666e63ff7ffffffffffffff000101160000000000000004000000000000"
+    "00000000000e0000000000000007000000000000000a000000000000000a000000000000"
+    "00a594524a29a5e43ffcffffffffffffff000001143bb1133bb1d33f9ed8899dd889ed3f"
+    "00000000000022c00000000000001c400000000000000000140000000000000009000000"
+    "0000000009000000000000000900000000000000000000000000f03f0000000000000000"
+    "0101011cc7711cc771cc3f000000000000f03f0000000000002cc00000000000002c4001"
+    "000000000000001600000000000000090000000000000010000000000000001000000000"
+    "0000004cae20265710e33ffaffffffffffffff000001188661188661c83f9ee7799ee779"
+    "ee3f00000000000031c00000000000002e40000000000000000018000000000000000600"
+    "0000000000000a000000000000000a00000000000000333333333333e33ffcffffffffff"
+    "ffff00000174d145175d74c13f2eec85731637ee3f00000000000033c078425f72abdb29"
+    "400600000000000000110000000000000008d49e05de3889be1f00000000000000060000"
+    "000000000015000000170000000b0000000800000018000000050000001f000000000000"
+    "000000000000000000151521f50705b11d";
+  std::string bytes;
+  for (size_t i = 0; kHex[i] != '\0'; i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(std::string(kHex + i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(SnapshotTest, V3SampledCheckpointLoadsAndRewritesAsV4) {
+  const std::string v3 = V3SampledCheckpoint();
+  ExpectPinned(v3, 1421, 0x1db10507f5211515ULL);
+  EXPECT_EQ(v3[4], 3);  // format version
+  auto loaded = DeserializeCheckpoint(v3);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+
+  // Drift kinds, approx flags and measures are those of the monitor that
+  // wrote it.
+  std::optional<fd::SchemaMonitor> mon_opt;
+  EmplacePinnedSampled(mon_opt);
+  const fd::SchemaMonitor& mon = *mon_opt;
+  const std::vector<fd::DriftEvent>& log = loaded.checkpoint->drift_log;
+  ASSERT_EQ(log.size(), mon.drift_log().size());
+  for (size_t e = 0; e < log.size(); ++e) {
+    EXPECT_EQ(log[e].kind, mon.drift_log()[e].kind) << e;
+    EXPECT_EQ(log[e].approx, mon.drift_log()[e].approx) << e;
+    EXPECT_TRUE(log[e].measures == mon.drift_log()[e].measures) << e;
+  }
+  ASSERT_EQ(loaded.checkpoint->fds.size(), mon.fds().size());
+  for (size_t i = 0; i < mon.fds().size(); ++i) {
+    EXPECT_TRUE(loaded.checkpoint->fds[i].measures == mon.fds()[i].measures)
+        << i;
+  }
+
+  // Re-serialized, it is exactly the v4 pin.
+  const std::string v4 = SerializeCheckpoint(*loaded.checkpoint);
+  ExpectPinned(v4, 1293, 0xaa9cb1d1e828153bULL);
+  fd::MonitorCheckpoint fresh = mon.Checkpoint();
+  fresh.stream_batch_hint = 2;
+  EXPECT_EQ(v4, SerializeCheckpoint(fresh));
+}
+
+TEST(SnapshotTest, V3DriftApproxByteIsValidated) {
+  std::string v3 = V3SampledCheckpoint();
+  // Byte 1027 is the first drift entry's approx flag (1), just before its
+  // interval doubles. Any value but 0/1 is corrupt, checksum or not.
+  ASSERT_EQ(v3[1027], 1);
+  v3[1027] = 2;
+  const uint64_t sum = util::Checksum64(v3.data(), v3.size() - 8);
+  for (int i = 0; i < 8; ++i) {
+    v3[v3.size() - 8 + static_cast<size_t>(i)] =
+        static_cast<char>((sum >> (8 * i)) & 0xff);
+  }
+  auto r = DeserializeCheckpoint(v3);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("approx"), std::string::npos) << r.error;
 }
 
 TEST(SnapshotTest, PinnedServerStateBytes) {
@@ -713,7 +821,7 @@ TEST(SnapshotTest, PinnedServerStateBytes) {
   const std::string bytes = SerializeServerState(
       db, {{"pin", exact.State()}, {"pin", sampled.State()}});
   EXPECT_EQ(bytes[8], 4);  // kind
-  ExpectPinned(bytes, 1605, 0xea66f7808b041e2aULL);
+  ExpectPinned(bytes, 1477, 0x7ca096acb57f5086ULL);
 
   sql::Database back;
   std::vector<ServerMonitorState> monitors;

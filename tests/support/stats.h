@@ -1,13 +1,7 @@
-// Statistical assertion helpers for the sampled-monitoring suites.
+// Statistical helpers for the sampled-monitoring suites.
 //
-// Interval-coverage guarantees are probabilistic: "the stated interval
-// contains the true value on >= 95% of runs" cannot be asserted per run,
-// only over many seeded trials — and a naive `observed >= 0.95` check on
-// a finite trial count flakes exactly when the true rate sits near the
-// target. These helpers run N trials over the fuzz_seed machinery (so a
-// failing trial is replayable by index) and test the binomial *lower
-// confidence bound* instead of the raw proportion: the suite fails only
-// when the observed rate is significantly below the promised one.
+// They run N trials over the fuzz_seed machinery, so a failing trial is
+// replayable by index, and count the successes.
 //
 // Trial counts: suites pass a default sized for tier-time budgets; the
 // FDEVOLVE_STATS_TRIALS environment variable overrides it (the nightly
@@ -16,7 +10,6 @@
 // verdict — so a green check stays green under ASan/UBSan reruns.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -34,20 +27,6 @@ inline int StatsTrials(int fallback) {
   const long v = std::strtol(env, &end, 10);
   if (end == env || *end != '\0' || v <= 0) return fallback;
   return static_cast<int>(v);
-}
-
-/// One-sided binomial check: is `successes` out of `trials` consistent
-/// with a true success probability of at least `p_min`? Uses the normal
-/// approximation with slack `z` standard deviations (z = 3 keeps the
-/// false-failure rate ~1e-3 even at the smallest trial counts); fails
-/// only when the observed rate is significantly BELOW p_min, so a suite
-/// promising 95% coverage does not flake at 94.9% observed on 200 trials.
-inline bool BinomialAtLeast(int successes, int trials, double p_min,
-                            double z = 3.0) {
-  if (trials <= 0) return false;
-  const double observed = static_cast<double>(successes) / trials;
-  const double sd = std::sqrt(p_min * (1.0 - p_min) / trials);
-  return observed >= p_min - z * sd;
 }
 
 /// Runs `trial` once per derived seed and counts successes. Seeds are
