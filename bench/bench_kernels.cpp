@@ -35,7 +35,12 @@ namespace {
 
 using namespace fdevolve;
 
-constexpr int kReps = 5;  ///< best-of to damp scheduler noise
+// Every shape repeats until it has at least kMinReps runs AND kMinTimedMs
+// of timed work, and reports its best run: the ~0.4 ms count-only passes
+// need hundreds of runs before their best one stops moving with scheduler
+// noise on a shared host.
+constexpr int kMinReps = 5;
+constexpr double kMinTimedMs = 100.0;
 
 int g_gate_failures = 0;
 
@@ -52,14 +57,17 @@ std::string Fmt(double v) {
   return buf;
 }
 
-/// Best-of-kReps wall time of `fn`, in milliseconds.
+/// Best wall time of `fn` in milliseconds, over at least kMinReps runs and
+/// kMinTimedMs of timed work.
 template <typename Fn>
 double BestMs(Fn fn) {
   double best = 0.0;
-  for (int r = 0; r < kReps; ++r) {
+  double total = 0.0;
+  for (int r = 0; r < kMinReps || total < kMinTimedMs; ++r) {
     util::Timer timer;
     fn();
     const double ms = timer.ElapsedMs();
+    total += ms;
     if (r == 0 || ms < best) best = ms;
   }
   return best;
@@ -116,8 +124,10 @@ int main() {
   double fused_ms_best_tier = 0.0, per_level_ms_best_tier = 0.0;
 
   util::TablePrinter table("kernel tiers (" + std::to_string(n) +
-                           " tuples, ns/tuple, best of " +
-                           std::to_string(kReps) + ")");
+                           " tuples, ns/tuple, best of >= " +
+                           std::to_string(kMinReps) + " runs and " +
+                           std::to_string(static_cast<int>(kMinTimedMs)) +
+                           " ms)");
   table.SetHeader({"tier", "dense", "count", "masked count", "flat",
                    "fused 3-attr ms"});
 

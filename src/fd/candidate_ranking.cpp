@@ -2,21 +2,24 @@
 
 #include <algorithm>
 
-#include "query/column_stats.h"
-
 namespace fdevolve::fd {
 
 relation::AttrSet CandidatePool(const relation::Relation& rel, const Fd& fd,
-                                const PoolOptions& opts) {
+                                const PoolOptions& opts,
+                                std::vector<query::ColumnStats>* stats) {
   relation::AttrSet pool = rel.schema().AllAttrs().Minus(fd.AllAttrs());
-  if (opts.exclude_nulls) {
-    pool = pool.Intersect(rel.NonNullAttrs());
-  }
-  if (opts.exclude_unique) {
-    pool = pool.Minus(query::UniqueAttrs(rel));
-  }
   if (!opts.restrict_to.Empty()) {
     pool = pool.Intersect(opts.restrict_to);
+  }
+  std::vector<query::ColumnStats> local;
+  std::vector<query::ColumnStats>& s = stats != nullptr ? *stats : local;
+  s = query::ComputeColumnStats(rel, pool);
+  for (int a : pool.ToVector()) {
+    const query::ColumnStats& c = s[static_cast<size_t>(a)];
+    if ((opts.exclude_nulls && c.null_count > 0) ||
+        (opts.exclude_unique && c.is_unique)) {
+      pool.Remove(a);
+    }
   }
   return pool;
 }

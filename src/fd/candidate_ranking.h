@@ -5,6 +5,7 @@
 
 #include "fd/fd.h"
 #include "fd/measures.h"
+#include "query/column_stats.h"
 #include "query/distinct.h"
 #include "relation/relation.h"
 
@@ -49,10 +50,18 @@ struct PoolOptions {
   relation::AttrSet restrict_to;
 };
 
-/// Attributes eligible to extend `fd`'s antecedent: R \ XY, filtered by
-/// `opts`.
-relation::AttrSet CandidatePool(const relation::Relation& rel, const Fd& fd,
-                                const PoolOptions& opts = {});
+/// Attributes eligible to extend `fd`'s antecedent: R \ XY (within
+/// `opts.restrict_to`), filtered by `opts`. The NULL and UNIQUE filters
+/// read live rows only, so a tombstoned relation yields the pool of its
+/// compacted copy.
+///
+/// \param stats when non-null, receives the live-row ColumnStats the
+///        filters read — indexed by attribute, filled for every column of
+///        R \ XY within `opts.restrict_to` — so the repair search and the
+///        planner build their CostModel from the same single pass.
+relation::AttrSet CandidatePool(
+    const relation::Relation& rel, const Fd& fd, const PoolOptions& opts = {},
+    std::vector<query::ColumnStats>* stats = nullptr);
 
 /// Evaluates and ranks every candidate in `pool`.
 ///

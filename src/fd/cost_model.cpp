@@ -16,9 +16,6 @@ constexpr double kNsPerDictByte = 0.25;
 
 }  // namespace
 
-CostModel::CostModel(const relation::Relation& rel)
-    : stats_(query::ComputeColumnStats(rel)), live_rows_(rel.live_count()) {}
-
 CostModel::CostModel(std::vector<query::ColumnStats> stats, size_t live_rows)
     : stats_(std::move(stats)), live_rows_(live_rows) {}
 

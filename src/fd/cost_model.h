@@ -29,11 +29,11 @@ namespace fdevolve::fd {
 
 class CostModel {
  public:
-  /// Computes live-row ColumnStats for every column of `rel`. Tombstones
-  /// are fine: the stats describe exactly the live instance.
-  explicit CostModel(const relation::Relation& rel);
-
-  /// For tests: inject stats directly.
+  /// \param stats live-row ColumnStats indexed by attribute — the ones
+  ///        CandidatePool computed, which cover the pool's columns, or
+  ///        query::ComputeColumnStats. Only attributes the model is asked
+  ///        about need a filled entry.
+  /// \param live_rows the relation's live row count.
   CostModel(std::vector<query::ColumnStats> stats, size_t live_rows);
 
   size_t live_rows() const { return live_rows_; }

@@ -37,14 +37,15 @@ RepairPlan PlanRepair(const relation::Relation& rel, const Fd& fd,
           ? plan.original.distinct_x == xy
           : plan.original.confidence >= plan.target_confidence;
 
-  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
+  std::vector<query::ColumnStats> stats;
+  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool, &stats);
   plan.pool_size = pool.Count();
   plan.max_depth = opts.max_added_attrs > 0
                        ? std::min(opts.max_added_attrs, pool.Count())
                        : pool.Count();
   if (plan.already_exact || plan.pool_size == 0) return plan;
 
-  const CostModel model(rel);
+  const CostModel model(std::move(stats), plan.live_rows);
   const auto products = model.TopSlotProducts(pool, plan.max_depth - 1);
   const size_t reach_product =
       products[static_cast<size_t>(plan.max_depth - 1)];

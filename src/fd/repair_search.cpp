@@ -4,6 +4,7 @@
 #include <optional>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "fd/cost_model.h"
 #include "util/thread_pool.h"
@@ -66,7 +67,6 @@ const char* ToString(StopReason reason) {
 
 RepairResult Extend(const relation::Relation& rel, const Fd& fd,
                     const RepairOptions& opts) {
-  relation::RequireNoTombstones(rel, "fd::Extend");
   util::Timer timer;
   RepairResult result;
   result.original = fd;
@@ -88,13 +88,8 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     return result;
   }
 
-  // Warm the evaluator with the groupings every candidate refines from:
-  // C_X for the |π_XA| counts and C_XY for the |π_XAY| counts. With both
-  // cached, evaluating a candidate is two count-only refinement passes.
-  eval.GroupFor(fd.lhs());
-  eval.GroupFor(fd.AllAttrs());
-
-  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool);
+  std::vector<query::ColumnStats> stats;
+  const relation::AttrSet pool = CandidatePool(rel, fd, opts.pool, &stats);
   const int max_depth =
       opts.max_added_attrs > 0
           ? std::min(opts.max_added_attrs, pool.Count())
@@ -115,7 +110,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   std::optional<CostModel> model;
   std::vector<size_t> reach_products;
   if (opts.use_planner || opts.budget_cost > 0.0) {
-    model.emplace(rel);
+    model.emplace(std::move(stats), rel.live_count());
     reach_products = model->TopSlotProducts(pool, max_depth);
   }
   const bool budgeted =
@@ -127,13 +122,14 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
   uint64_t seq = 0;
 
   // Candidate evaluation is batched: one batch is the seed phase or one
-  // node expansion — exactly the set of siblings the sequential loop would
-  // evaluate back to back. With exec_width > 1 the batch fans out across
-  // the shared pool; every worker counts its candidate slice against its
-  // own scratch while sharing the batch's two base groupings read-only
+  // node expansion — the set of siblings that share the parent's two
+  // materialized groupings, C_XU and C_XUY. Every candidate of a batch is
+  // two count-only refinements of those over the live rows, spread across
+  // the shared pool (inline on the caller at width 1); each worker counts
+  // its slice against its own scratch and reads the groupings read-only
   // (the evaluator itself is single-owner and is never touched inside the
-  // parallel region). Results are folded back in pool order with the same
-  // budget, dedup, and seq-number semantics as the sequential loop, so the
+  // parallel region). Results are folded back in batch order with the same
+  // budget, dedup, and seq-number semantics at every width, so the
   // frontier — and therefore the ranked output — is bit-identical for
   // every thread count.
   const int exec_width = util::ResolveThreads(opts.threads);
@@ -207,7 +203,7 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
     }
 
     batch_measures.assign(batch_sets.size(), FdMeasures{});
-    if (exec_width > 1 && batch_sets.size() > 1) {
+    if (!batch_sets.empty()) {
       // Materialize the shared bases once (both are one refinement off a
       // cached grouping); cache references stay valid while workers read.
       const relation::AttrSet base_x = fd.lhs().Union(base_added);
@@ -232,11 +228,6 @@ RepairResult Extend(const relation::Relation& rel, const Fd& fd,
               batch_measures[i] = MeasuresFromCounts(x, xy, y_count);
             }
           });
-    } else {
-      for (size_t i = 0; i < batch_sets.size(); ++i) {
-        batch_measures[i] =
-            ComputeMeasures(eval, fd.WithAntecedent(batch_sets[i]));
-      }
     }
 
     for (size_t i = 0; i < batch_sets.size(); ++i) {

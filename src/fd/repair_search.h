@@ -67,16 +67,16 @@ struct RepairOptions {
   double target_confidence = 1.0;
 
   /// Execution width for candidate evaluation: 0 (default) resolves to
-  /// `hardware_concurrency`, 1 forces the exact pre-parallel sequential
-  /// code path, k > 1 evaluates each frontier batch (the seed candidates,
-  /// then every node expansion's children) across the shared thread pool.
+  /// `hardware_concurrency`, k >= 1 evaluates each frontier batch (the
+  /// seed candidates, then every node expansion's children) across up to
+  /// k executors of the shared thread pool — at 1, inline on the caller.
   ///
   /// Every candidate in a batch counts against its own per-worker scratch
   /// while sharing the batch's two materialized base groupings (C_XU and
-  /// C_XUY) read-only; results are merged back in pool order with the same
-  /// `seq` tie-break numbers the sequential loop would assign. Ranked
-  /// output — repairs, measures, and all stats except `elapsed_ms` — is
-  /// therefore bit-identical for every thread count.
+  /// C_XUY) read-only; results are merged back in batch order with the
+  /// same `seq` tie-break numbers at every width. Ranked output — repairs,
+  /// measures, and all stats except `elapsed_ms` — is therefore
+  /// bit-identical for every thread count.
   int threads = 0;
 
   /// Statistics-driven planning (fd::CostModel): candidates whose sound
@@ -150,7 +150,10 @@ struct RepairResult {
 
 /// \brief Runs Algorithm 3 on a single FD.
 ///
-/// \param rel the (drifted) instance; must outlive the call only.
+/// \param rel the (drifted) instance; must outlive the call only. It may
+///        carry tombstones: every count, the candidate pool and the
+///        planner's statistics cover its live rows only, so the result
+///        equals Extend on the compacted relation.
 /// \param fd the violated dependency X -> Y to repair.
 /// \param opts search mode, depth/budget limits, AFD target, and the
 ///        `threads` execution width (see RepairOptions::threads).

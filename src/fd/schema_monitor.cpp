@@ -383,19 +383,8 @@ std::vector<size_t> SchemaMonitor::CheckNow() {
 std::vector<RepairResult> SchemaMonitor::SuggestRepairs(
     const RepairOptions& opts) {
   std::vector<RepairResult> out;
-  if (rel_->has_tombstones()) {
-    // The repair search scans physical rows (tombstone-unaware by
-    // design); hand it the live instance.
-    const relation::Relation compacted = rel_->CompactedCopy();
-    for (const auto& m : monitored_) {
-      if (m.violated) out.push_back(Extend(compacted, m.fd, opts));
-    }
-    return out;
-  }
   for (const auto& m : monitored_) {
-    if (m.violated) {
-      out.push_back(Extend(*rel_, m.fd, opts));
-    }
+    if (m.violated) out.push_back(Extend(*rel_, m.fd, opts));
   }
   return out;
 }

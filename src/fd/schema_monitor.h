@@ -272,9 +272,9 @@ class SchemaMonitor {
   /// transition and a kRecovered event per violated→exact transition.
   std::vector<size_t> CheckNow();
 
-  /// Suggests repairs for every currently violated FD. When the relation
-  /// carries tombstones the search runs on a CompactedCopy() — the repair
-  /// search scans physical rows and is tombstone-unaware by design.
+  /// Suggests repairs for every currently violated FD. The search runs on
+  /// the monitored relation itself and counts its live rows only, so a
+  /// tombstoned relation gets the repairs of its compacted copy.
   std::vector<RepairResult> SuggestRepairs(const RepairOptions& opts = {});
 
   /// Designer accepts a repair: the declared FD is replaced by the repaired

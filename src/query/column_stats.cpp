@@ -14,15 +14,19 @@ double ValueWidth(const relation::Value& v) {
 }  // namespace
 
 std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel) {
-  std::vector<ColumnStats> out;
-  out.reserve(static_cast<size_t>(rel.attr_count()));
+  return ComputeColumnStats(rel, rel.schema().AllAttrs());
+}
+
+std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel,
+                                            const relation::AttrSet& attrs) {
+  std::vector<ColumnStats> out(static_cast<size_t>(rel.attr_count()));
   const size_t live_rows = rel.live_count();
   const bool tombstoned = rel.has_tombstones();
   // Scratch reused across columns when an occurrence scan is needed.
   std::vector<uint32_t> occurrences;
-  for (int i = 0; i < rel.attr_count(); ++i) {
+  for (int i : attrs.ToVector()) {
     const auto& col = rel.column(i);
-    ColumnStats s;
+    ColumnStats& s = out[static_cast<size_t>(i)];
     s.name = rel.schema().attr(i).name;
     size_t max_occurrence = 0;
     if (!tombstoned) {
@@ -84,7 +88,6 @@ std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel) {
         live_rows > 0 ? static_cast<double>(s.null_count) / live_rows : 0.0;
     s.is_unique = live_rows > 0 && s.null_count == 0 && max_occurrence <= 1 &&
                   s.distinct_count == live_rows;
-    out.push_back(std::move(s));
   }
   return out;
 }

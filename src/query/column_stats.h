@@ -47,6 +47,11 @@ struct ColumnStats {
 /// Computes stats for every column of `rel` over its live rows.
 std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel);
 
+/// Computes stats for the columns in `attrs` only, still indexed by
+/// attribute: entries outside `attrs` stay default-constructed.
+std::vector<ColumnStats> ComputeColumnStats(const relation::Relation& rel,
+                                            const relation::AttrSet& attrs);
+
 /// Cheap sound upper bound on |π_{X ∪ {added}}| given |π_X| = base_distinct:
 ///   |π_XZ| ≤ min(live_rows, |π_X| · slots(Z))
 /// where slots(Z) counts Z's distinct values plus a NULL slot. The product

@@ -122,9 +122,9 @@ size_t RunSegment(const uint32_t* base_ids, uint64_t base_groups,
 ///
 /// `out == nullptr` is the count-only form: intermediate segments (if the
 /// chain needs more than one) materialize into `s.chain_ids`, and only the
-/// final segment applies `live` — dead rows are skipped there, so the
-/// result counts groups with at least one live row while every
-/// intermediate id stays append-stable over physical rows.
+/// final segment applies the row mask `live` — rows it clears are skipped
+/// there, so the result counts groups with at least one kept row while
+/// every intermediate id stays append-stable over physical rows.
 size_t RunRefineChain(const uint32_t* base_ids, size_t base_groups,
                       const int* cols, size_t ncols,
                       const relation::Relation& rel, size_t n,
@@ -142,7 +142,7 @@ size_t RunRefineChain(const uint32_t* base_ids, size_t base_groups,
     uint32_t* seg_out = out;
     if (last) {
       // Final segment: `out` as requested (possibly null = count-only),
-      // and the only place the tombstone filter may apply.
+      // and the only place the row mask may apply.
       seg_out = out;
     } else if (out == nullptr) {
       s.chain_ids.resize(n);
@@ -164,19 +164,20 @@ const uint8_t* LiveMask(const relation::Relation& rel) {
   return rel.has_tombstones() ? rel.live_bitmap().data() : nullptr;
 }
 
-/// Distinct live dictionary codes of one column — the tombstone-aware
-/// replacement for the O(1) dict_size fast path. O(n + dict).
-size_t LiveDistinctOneColumn(const relation::Relation& rel, int attr) {
-  const relation::Column& col = rel.column(attr);
-  const uint32_t* codes = col.codes().data();
-  const uint8_t* live = rel.live_bitmap().data();
-  const size_t n = rel.tuple_count();
-  const size_t dict = col.dict_size();
-  std::vector<uint8_t> seen(dict + 1, 0);  // slot `dict` counts NULL
+/// Distinct values of `ids` over the rows `mask` keeps — the masked form
+/// of the O(1) answers a whole relation gets for zero or one attribute.
+/// Ids lie in [0, slots), except that kNullCode stands for slot
+/// `slots - 1` (a NULL-bearing column's extra slot); `ids == nullptr`
+/// puts every row in slot 0. Stops as soon as every slot is seen. O(n).
+size_t MaskedDistinct(const uint32_t* ids, size_t slots, size_t n,
+                      const uint8_t* mask) {
+  std::vector<uint8_t> seen(slots, 0);
   size_t distinct = 0;
-  for (size_t t = 0; t < n; ++t) {
-    if (live[t] == 0) continue;
-    const size_t c = codes[t] == relation::kNullCode ? dict : codes[t];
+  for (size_t t = 0; t < n && distinct < slots; ++t) {
+    if (mask[t] == 0) continue;
+    const size_t c = ids == nullptr                   ? 0
+                     : ids[t] == relation::kNullCode ? slots - 1
+                                                     : ids[t];
     if (seen[c] == 0) {
       seen[c] = 1;
       ++distinct;
@@ -266,63 +267,61 @@ Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
 }
 
 size_t GroupCountBy(const relation::Relation& rel,
-                    const relation::AttrSet& attrs, RefineScratch& scratch) {
+                    const relation::AttrSet& attrs, RefineScratch& scratch,
+                    const uint8_t* mask) {
   const size_t n = rel.tuple_count();
-  if (n == 0) return 0;
-  const uint8_t* live = LiveMask(rel);
-  if (live != nullptr && rel.live_count() == 0) return 0;
+  if (mask == nullptr) {
+    if (rel.live_count() == 0) return 0;
+    mask = LiveMask(rel);
+  }
   const auto cols = attrs.ToVector();
-  if (cols.empty()) return 1;
+  if (cols.empty()) {
+    return mask == nullptr ? 1 : MaskedDistinct(nullptr, 1, n, mask);
+  }
   if (cols.size() == 1) {
-    if (live != nullptr) return LiveDistinctOneColumn(rel, cols[0]);
-    // |π_A| falls straight out of the dictionary: no per-tuple work.
+    // Over every row, |π_A| falls straight out of the dictionary: no
+    // per-tuple work.
     const auto& col = rel.column(cols[0]);
-    return col.dict_size() + (col.has_nulls() ? 1 : 0);
+    const size_t slots = col.dict_size() + (col.has_nulls() ? 1 : 0);
+    return mask == nullptr ? slots
+                           : MaskedDistinct(col.codes().data(), slots, n, mask);
   }
   // Count-only fused chain: when every level fits one segment — the common
   // case — this is a single sweep with no id materialization at all. The
-  // tombstone filter applies only to the final segment (see RunRefineChain),
-  // which is what makes the count "groups with a live row" while any
-  // intermediate ids stay append-stable.
+  // mask applies only to the final segment (see RunRefineChain), which is
+  // what makes the count "groups with a kept row" while any intermediate
+  // ids stay append-stable.
+  if (n == 0) return 0;
   return RunRefineChain(nullptr, 1, cols.data(), cols.size(), rel, n, scratch,
-                        nullptr, live);
+                        nullptr, mask);
 }
 
 size_t GroupCountBy(const relation::Relation& rel,
-                    const relation::AttrSet& attrs) {
+                    const relation::AttrSet& attrs, const uint8_t* mask) {
   RefineScratch scratch;
-  return GroupCountBy(rel, attrs, scratch);
+  return GroupCountBy(rel, attrs, scratch, mask);
 }
 
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
-                     const relation::AttrSet& attrs, RefineScratch& scratch) {
+                     const relation::AttrSet& attrs, RefineScratch& scratch,
+                     const uint8_t* mask) {
   CheckBase(rel, base, "RefineCountBy");
   const size_t n = base.ids.size();
   if (n == 0) return attrs.Empty() ? base.group_count : 0;
-  const uint8_t* live = LiveMask(rel);
+  if (mask == nullptr) mask = LiveMask(rel);
   const auto cols = attrs.ToVector();
   if (cols.empty()) {
-    if (live == nullptr) return base.group_count;
-    // Tombstone-aware: groups of `base` with at least one live row.
-    std::vector<uint8_t> seen(base.group_count, 0);
-    size_t groups = 0;
-    for (size_t t = 0; t < n; ++t) {
-      if (live[t] == 0) continue;
-      if (seen[base.ids[t]] == 0) {
-        seen[base.ids[t]] = 1;
-        ++groups;
-      }
-    }
-    return groups;
+    if (mask == nullptr) return base.group_count;
+    return MaskedDistinct(base.ids.data(), base.group_count, n, mask);
   }
   return RunRefineChain(base.ids.data(), base.group_count, cols.data(),
-                        cols.size(), rel, n, scratch, nullptr, live);
+                        cols.size(), rel, n, scratch, nullptr, mask);
 }
 
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
-                     const relation::AttrSet& attrs) {
+                     const relation::AttrSet& attrs, const uint8_t* mask) {
   RefineScratch scratch;
-  return RefineCountBy(rel, base, attrs, scratch);
+  return RefineCountBy(rel, base, attrs, scratch, mask);
 }
 
 size_t JointGroupCount(const Grouping& a, const Grouping& b) {

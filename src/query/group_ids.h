@@ -104,30 +104,39 @@ Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
 Grouping RefineBy(const relation::Relation& rel, const Grouping& base,
                   const relation::AttrSet& attrs, RefineScratch& scratch);
 
-/// \brief |GroupBy(rel, attrs).group_count| without materializing
-/// `Grouping::ids`, restricted to the relation's LIVE rows.
+/// \brief Number of groups of GroupBy(rel, attrs) with at least one row
+/// that `mask` keeps, without materializing `Grouping::ids`.
 ///
-/// On an append-only relation a single attribute is answered straight
-/// from the column dictionary (dict_size + has_nulls) with no per-tuple
-/// work at all; longer sets run the refinement chain but skip writing ids
-/// on the final pass. When the relation carries
-/// tombstones the final (count-only) pass skips dead rows — the count is
-/// the number of groups with at least one live row — while intermediate
-/// materializing passes still cover every physical row, keeping their ids
+/// `mask` holds one byte per physical row (nonzero = counted); nullptr
+/// means the relation's live rows, i.e. its tombstone bitmap. Every
+/// distinct count — the FD measures, the repair search and SQL
+/// COUNT(DISTINCT ...) with its WHERE clause — goes through here or
+/// through RefineCountBy.
+///
+/// Over every row of an append-only relation, zero or one attribute is
+/// answered from the column dictionary (dict_size + has_nulls) with no
+/// per-tuple work; under a mask those cases scan the masked rows once.
+/// Longer sets run the refinement chain but skip writing ids on the final
+/// pass, which is the only pass the mask applies to: intermediate
+/// materializing passes cover every physical row, keeping their ids
 /// append-stable.
 size_t GroupCountBy(const relation::Relation& rel,
-                    const relation::AttrSet& attrs);
+                    const relation::AttrSet& attrs,
+                    const uint8_t* mask = nullptr);
 size_t GroupCountBy(const relation::Relation& rel,
-                    const relation::AttrSet& attrs, RefineScratch& scratch);
+                    const relation::AttrSet& attrs, RefineScratch& scratch,
+                    const uint8_t* mask = nullptr);
 
 /// \brief Number of groups RefineBy(rel, base, attrs) would produce with
-/// at least one live row, without materializing the refined ids. `base`
-/// must cover every physical row (dead included), which is what GroupBy /
-/// RefineBy produce.
+/// at least one row that `mask` keeps (nullptr = the live rows), without
+/// materializing the refined ids. `base` must cover every physical row
+/// (dead included), which is what GroupBy / RefineBy produce.
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
-                     const relation::AttrSet& attrs);
+                     const relation::AttrSet& attrs,
+                     const uint8_t* mask = nullptr);
 size_t RefineCountBy(const relation::Relation& rel, const Grouping& base,
-                     const relation::AttrSet& attrs, RefineScratch& scratch);
+                     const relation::AttrSet& attrs, RefineScratch& scratch,
+                     const uint8_t* mask = nullptr);
 
 /// \brief Number of groups induced jointly by two precomputed groupings,
 /// i.e. |C_{A ∪ B}| given C_A and C_B — without touching column data.

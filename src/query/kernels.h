@@ -68,8 +68,9 @@ struct Level {
 ///     ("RefinePass: group id out of range") — dead rows are exempt,
 ///     exactly like the scalar loop they replace.
 ///   * `out` may alias `base_ids`: every slot is read before written.
-///   * `live != nullptr` (tombstone bitmap; 0 = dead row skipped) implies
-///     `out == nullptr` — only count-only passes filter.
+///   * `live != nullptr` (a row mask — the tombstone bitmap or a WHERE
+///     filter; 0 = row skipped) implies `out == nullptr` — only
+///     count-only passes filter.
 ///   * `level_count <= kMaxFusedLevels` — the segment planner never plans
 ///     more.
 struct RefineArgs {

@@ -109,8 +109,11 @@ class Column {
 ///
 /// A consumer that diffs only `version()` (the historical append-only
 /// contract) would silently keep counting deleted rows. Tombstone-unaware
-/// scans must call RequireNoTombstones() at entry so that misuse is a
-/// hard error instead of silent corruption; incremental caches
+/// scans (discovery, clustering, conditional FDs) must call
+/// RequireNoTombstones() at entry so that misuse is a hard error instead
+/// of silent corruption. Tombstone-aware consumers read the live bitmap:
+/// the query layer's count passes, and through them the FD measures, the
+/// repair search, the planner and SQL COUNT; incremental caches
 /// (query::DistinctEvaluator) track both counters plus `compactions()`.
 class Relation {
  public:
@@ -187,7 +190,8 @@ class Relation {
 
   /// A fresh relation holding exactly this relation's live rows (the
   /// compacted form), leaving this relation untouched. What tombstone-
-  /// unaware consumers (repair search, discovery) are handed.
+  /// unaware consumers (discovery, clustering, conditional FDs) are
+  /// handed.
   Relation CompactedCopy() const;
 
   /// Appends one tuple; `row` arity must match the schema.
@@ -208,12 +212,9 @@ class Relation {
   /// Cell accessor.
   Value Get(size_t tuple, int attr) const { return column(attr).Get(tuple); }
 
-  /// Attributes whose columns contain no NULLs — the candidate pool the
-  /// paper allows for antecedent extension (§6.2.1).
+  /// Attributes whose columns hold no NULL in any physical row, dead rows
+  /// included (fd::CandidatePool reads live-row NULL counts instead).
   AttrSet NonNullAttrs() const;
-
-  /// True if any of the given attributes contains a NULL.
-  bool AnyNulls(const AttrSet& attrs) const;
 
   /// Rough payload size in bytes (codes + dictionaries); used by the
   /// Figure 3c "table dimension" axis.

@@ -1,156 +1,106 @@
 #include "sql/engine.h"
 
+#include <algorithm>
+
 #include "fd/planner.h"
+#include "query/group_ids.h"
 #include "sql/parser.h"
-#include "util/flat_table.h"
 
 namespace fdevolve::sql {
 namespace {
 
-/// Row predicate for one condition, evaluated on dictionary codes where
-/// possible (equality against a literal resolves to a single code).
+/// Row predicate for one condition over dictionary codes. Equality
+/// against a literal resolves to a single code, so every condition keeps
+/// the rows whose code is (IS NULL, =) or is not (IS NOT NULL, <>) in a
+/// set of at most two codes {a_, b_}.
 class CompiledCondition {
  public:
-  CompiledCondition(const relation::Relation& rel, const Condition& cond)
-      : op_(cond.op) {
+  CompiledCondition(const relation::Relation& rel, const Condition& cond) {
     col_ = rel.schema().IndexOf(cond.column);
     if (col_ < 0) {
       throw std::invalid_argument("unknown column '" + cond.column + "' in " +
                                   rel.name());
     }
-    if (op_ == Condition::Op::kEq || op_ == Condition::Op::kNeq) {
-      if (cond.literal.is_null()) {
-        // SQL three-valued logic: = NULL / <> NULL match nothing.
-        matches_nothing_ = true;
-        return;
+    const relation::Column& col = rel.column(col_);
+    keep_match_ =
+        cond.op == Condition::Op::kIsNull || cond.op == Condition::Op::kEq;
+    if (cond.op == Condition::Op::kEq || cond.op == Condition::Op::kNeq) {
+      // Resolve the literal to a dictionary code; "<> lit" drops NULLs
+      // too (b_ stays kNullCode). An absent literal means "= lit" matches
+      // nothing and "<> lit" matches every non-NULL row; SQL three-valued
+      // logic makes = NULL and <> NULL match nothing.
+      bool present = false;
+      for (uint32_t c = 0; c < col.dict_size() && !present; ++c) {
+        present = col.DictValue(c) == cond.literal;
+        if (present) a_ = c;
       }
-      // Resolve the literal to a dictionary code. An absent literal means
-      // "= lit" matches nothing and "<> lit" matches every non-NULL row.
-      const auto& col = rel.column(col_);
-      for (uint32_t c = 0; c < col.dict_size(); ++c) {
-        if (col.DictValue(c) == cond.literal) {
-          literal_code_ = c;
-          literal_present_ = true;
-          break;
-        }
-      }
+      if (keep_match_) b_ = a_;
+      keep_none_ = cond.literal.is_null() || (keep_match_ && !present);
     }
+    // Nothing to drop: IS NOT NULL, or <> an absent literal, on a column
+    // without NULLs.
+    keep_all_ = !keep_match_ && a_ == relation::kNullCode && !col.has_nulls();
   }
 
-  bool Pass(const relation::Relation& rel, size_t row) const {
-    if (matches_nothing_) return false;
-    uint32_t code = rel.column(col_).code(row);
-    switch (op_) {
-      case Condition::Op::kEq:
-        return literal_present_ && code == literal_code_;
-      case Condition::Op::kNeq:
-        return code != relation::kNullCode &&
-               (!literal_present_ || code != literal_code_);
-      case Condition::Op::kIsNull:
-        return code == relation::kNullCode;
-      case Condition::Op::kIsNotNull:
-        return code != relation::kNullCode;
+  /// Clears mask[t] for every row t the condition rejects.
+  void Apply(const relation::Relation& rel, std::vector<uint8_t>& mask) const {
+    if (keep_none_) {
+      std::fill(mask.begin(), mask.end(), uint8_t{0});
+      return;
     }
-    return false;
+    if (keep_all_) return;
+    // Locals, not members: stores through the byte mask may alias them.
+    const uint32_t* codes = rel.column(col_).codes().data();
+    const uint32_t a = a_;
+    const uint32_t b = b_;
+    const bool keep = keep_match_;
+    for (size_t t = 0; t < mask.size(); ++t) {
+      mask[t] &= ((codes[t] == a || codes[t] == b) == keep) ? 1 : 0;
+    }
   }
 
  private:
   int col_ = -1;
-  Condition::Op op_;
-  uint32_t literal_code_ = relation::kNullCode;
-  bool literal_present_ = false;
-  bool matches_nothing_ = false;
+  uint32_t a_ = relation::kNullCode;
+  uint32_t b_ = relation::kNullCode;
+  bool keep_match_ = true;
+  bool keep_all_ = false;
+  bool keep_none_ = false;
 };
 
-/// Live rows of `rel` passing every condition, in physical row order,
-/// bounded to the pre-statement row set [0, rel.tuple_count()).
-std::vector<size_t> MatchingLiveRows(const relation::Relation& rel,
-                                     const std::vector<Condition>& where) {
+/// The one WHERE filter behind COUNT, DELETE and UPDATE: a byte mask over
+/// the pre-statement row set [0, rel.tuple_count()), 1 for every live row
+/// that passes every condition. All conditions compile (unknown columns
+/// throw) before any row is read.
+std::vector<uint8_t> MatchMask(const relation::Relation& rel,
+                               const std::vector<Condition>& where) {
   std::vector<CompiledCondition> conds;
   conds.reserve(where.size());
   for (const auto& c : where) conds.emplace_back(rel, c);
-  std::vector<size_t> rows;
-  for (size_t row = 0; row < rel.tuple_count(); ++row) {
-    if (!rel.is_live(row)) continue;
-    bool pass = true;
-    for (const auto& c : conds) {
-      if (!c.Pass(rel, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(row);
-  }
-  return rows;
+  std::vector<uint8_t> mask = rel.has_tombstones()
+                                  ? rel.live_bitmap()
+                                  : std::vector<uint8_t>(rel.tuple_count(), 1);
+  for (const auto& c : conds) c.Apply(rel, mask);
+  return mask;
 }
 
 }  // namespace
 
 uint64_t Execute(const CountQuery& query, const Database& db) {
   const relation::Relation& rel = db.Get(query.table);
-
-  std::vector<CompiledCondition> conds;
-  conds.reserve(query.where.size());
-  for (const auto& c : query.where) conds.emplace_back(rel, c);
-
-  std::vector<int> cols;
+  // A counted column drops the rows where it is NULL (SQL semantics), so
+  // each one adds an IS NOT NULL conjunct to the filter.
+  std::vector<Condition> where = query.where;
   for (const auto& name : query.columns) {
-    int idx = rel.schema().IndexOf(name);
-    if (idx < 0) {
-      throw std::invalid_argument("unknown column '" + name + "' in " +
-                                  rel.name());
-    }
-    cols.push_back(idx);
+    where.push_back({name, Condition::Op::kIsNotNull, {}});
   }
-
-  // Filter pass: surviving row indices (and, for DISTINCT, drop rows with
-  // NULL in any counted column — SQL semantics). Tombstoned rows are
-  // invisible to queries.
-  std::vector<size_t> rows;
-  rows.reserve(rel.live_count());
-  for (size_t row = 0; row < rel.tuple_count(); ++row) {
-    if (!rel.is_live(row)) continue;
-    bool pass = true;
-    for (const auto& c : conds) {
-      if (!c.Pass(rel, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (query.distinct) {
-      bool has_null = false;
-      for (int c : cols) {
-        if (rel.column(c).code(row) == relation::kNullCode) {
-          has_null = true;
-          break;
-        }
-      }
-      if (has_null) continue;
-    }
-    rows.push_back(row);
+  const std::vector<uint8_t> mask = MatchMask(rel, where);
+  if (!query.distinct) {
+    return static_cast<uint64_t>(std::count(mask.begin(), mask.end(), 1));
   }
-  if (!query.distinct) return rows.size();
-
-  // Exact distinct count via per-column partition refinement (same plan
-  // shape as query::GroupBy, restricted to surviving rows; the open-
-  // addressing table replaces the per-pass unordered_map here too).
-  std::vector<uint32_t> ids(rows.size(), 0);
-  size_t groups = rows.empty() ? 0 : 1;
-  util::FlatIdTable next;
-  for (int c : cols) {
-    next.Reset(rows.size());
-    uint32_t fresh = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      uint64_t key = (static_cast<uint64_t>(ids[i]) << 32) |
-                     rel.column(c).code(rows[i]);
-      bool inserted = false;
-      ids[i] = next.FindOrInsert(key, fresh, &inserted);
-      if (inserted) ++fresh;
-    }
-    groups = fresh;
-  }
-  return groups;
+  relation::AttrSet attrs;
+  for (const auto& name : query.columns) attrs.Add(rel.schema().IndexOf(name));
+  return query::GroupCountBy(rel, attrs, mask.data());
 }
 
 uint64_t Execute(const InsertStatement& insert, Database& db) {
@@ -188,9 +138,14 @@ uint64_t Execute(const InsertStatement& insert, Database& db) {
 uint64_t Execute(const DeleteStatement& del, Database& db) {
   relation::Relation& rel = db.GetMutable(del.table);
   // Condition compilation throws on unknown columns before any mutation.
-  const std::vector<size_t> rows = MatchingLiveRows(rel, del.where);
-  for (size_t row : rows) rel.DeleteRow(row);
-  return rows.size();
+  const std::vector<uint8_t> mask = MatchMask(rel, del.where);
+  uint64_t deleted = 0;
+  for (size_t row = 0; row < mask.size(); ++row) {
+    if (mask[row] == 0) continue;
+    rel.DeleteRow(row);
+    ++deleted;
+  }
+  return deleted;
 }
 
 uint64_t Execute(const UpdateStatement& update, Database& db) {
@@ -228,17 +183,20 @@ uint64_t Execute(const UpdateStatement& update, Database& db) {
   // past the snapshot bound, so they are never re-matched — UPDATE is
   // deterministic and terminates even when the assignment re-satisfies
   // the WHERE clause.
-  const std::vector<size_t> rows = MatchingLiveRows(rel, update.where);
+  const std::vector<uint8_t> mask = MatchMask(rel, update.where);
+  uint64_t updated = 0;
   std::vector<relation::Value> derived;
-  for (size_t row : rows) {
+  for (size_t row = 0; row < mask.size(); ++row) {
+    if (mask[row] == 0) continue;
     derived.clear();
     derived.reserve(static_cast<size_t>(rel.attr_count()));
     for (int a = 0; a < rel.attr_count(); ++a) derived.push_back(rel.Get(row, a));
     for (const auto& [idx, v] : sets) derived[static_cast<size_t>(idx)] = v;
     rel.DeleteRow(row);
     rel.AppendRow(derived);
+    ++updated;
   }
-  return rows.size();
+  return updated;
 }
 
 uint64_t Execute(const CreateTableStatement& create, Database& db) {

@@ -4,6 +4,8 @@
 
 #include "datagen/places.h"
 #include "datagen/synthetic.h"
+#include "fd/planner.h"
+#include "fd/repair_search.h"
 
 namespace fdevolve::fd {
 namespace {
@@ -40,6 +42,37 @@ TEST(CandidatePoolTest, ExcludesNullColumns) {
   PoolOptions allow_nulls;
   allow_nulls.exclude_nulls = false;
   EXPECT_TRUE(CandidatePool(rel, f, allow_nulls).Contains(3));
+}
+
+// A NULL held only by a tombstoned row is not in the instance: the pool,
+// EXPLAIN REPAIR's candidate list and Extend must treat the column as
+// NULL-free, exactly as on the compacted copy.
+TEST(CandidatePoolTest, NullOnlyInDeletedRowKeepsColumn) {
+  Schema schema({{"x", DataType::kInt64},
+                 {"y", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kInt64}});
+  Relation rel("t", schema);
+  for (int64_t t = 0; t < 20; ++t) {
+    // x -> y holds except on row 0.
+    rel.AppendRow({t % 4, t == 0 ? int64_t{1} : t % 2, t % 3, t % 5});
+  }
+  rel.AppendRow({int64_t{0}, int64_t{0}, Value::Null(), int64_t{0}});
+  rel.DeleteRow(20);
+  const Relation compacted = rel.CompactedCopy();
+  Fd f(AttrSet::Of({0}), AttrSet::Of({1}));
+
+  EXPECT_EQ(CandidatePool(rel, f), AttrSet::Of({2, 3}));
+  EXPECT_EQ(CandidatePool(rel, f), CandidatePool(compacted, f));
+  EXPECT_EQ(PlanRepair(rel, f).candidates.size(), 2u);
+  EXPECT_EQ(PlanRepair(compacted, f).candidates.size(), 2u);
+  const RepairResult got = Extend(rel, f);
+  const RepairResult want = Extend(compacted, f);
+  ASSERT_EQ(got.repairs.size(), want.repairs.size());
+  for (size_t i = 0; i < want.repairs.size(); ++i) {
+    EXPECT_EQ(got.repairs[i].added, want.repairs[i].added) << i;
+    EXPECT_EQ(got.repairs[i].measures, want.repairs[i].measures) << i;
+  }
 }
 
 TEST(CandidatePoolTest, ExcludeUniqueOption) {

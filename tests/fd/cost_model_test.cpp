@@ -33,8 +33,12 @@ Relation MakeDrifted() {
       .Build();
 }
 
+CostModel ModelOf(const Relation& rel) {
+  return CostModel(query::ComputeColumnStats(rel), rel.live_count());
+}
+
 TEST(CostModelTest, LiveRowsAndSlotsFromRelation) {
-  CostModel model(MakeDrifted());
+  const CostModel model = ModelOf(MakeDrifted());
   EXPECT_EQ(model.live_rows(), 5u);
   EXPECT_EQ(model.GroupSlots(0), 5u);  // id: 5 distinct, no NULLs
   EXPECT_EQ(model.GroupSlots(1), 3u);  // city: SF, LA, NY
@@ -47,14 +51,14 @@ TEST(CostModelTest, NullSlotCountsTowardGrouping) {
                      .Row({int64_t{1}})
                      .Row({Value::Null()})
                      .Build();
-  CostModel model(rel);
+  const CostModel model = ModelOf(rel);
   // One value plus the shared NULL group: adding `n` can at most double
   // the grouping.
   EXPECT_EQ(model.GroupSlots(0), 2u);
 }
 
 TEST(CostModelTest, CandidateCostScalesWithSlots) {
-  CostModel model(MakeDrifted());
+  const CostModel model = ModelOf(MakeDrifted());
   // Every estimate is positive, and a wider dictionary (more slots) never
   // estimates cheaper than a constant column at equal width.
   EXPECT_GT(model.CandidateCostMs(2), 0.0);
@@ -62,7 +66,7 @@ TEST(CostModelTest, CandidateCostScalesWithSlots) {
 }
 
 TEST(CostModelTest, TopSlotProductsAreSortedSaturatingPrefixes) {
-  CostModel model(MakeDrifted());
+  const CostModel model = ModelOf(MakeDrifted());
   AttrSet pool = AttrSet::Of({0, 1, 2});  // slots 5, 3, 1
   auto products = model.TopSlotProducts(pool, 3);
   ASSERT_EQ(products.size(), 4u);
@@ -77,7 +81,7 @@ TEST(CostModelTest, TopSlotProductsAreSortedSaturatingPrefixes) {
 }
 
 TEST(CostModelTest, ReachableBoundClampsAndSaturates) {
-  CostModel model(MakeDrifted());
+  const CostModel model = ModelOf(MakeDrifted());
   // 3 base groups * 5 slots = 15, clamped to the 5 live rows.
   EXPECT_EQ(model.ReachableDistinctBound(3, 0, 1), 5u);
   // Below the clamp the product is exact: 2 * 1 (zip) * 2 = 4.

@@ -131,23 +131,45 @@ TEST_P(PlannerFuzz, PlannerOnOffSameRepairsAcrossThreads) {
 TEST_P(PlannerFuzz, TombstonedInstancesSameRepairsAfterCompaction) {
   util::Rng rng(seed() + 7);
   Relation rel = RandomRelation(seed() + 7, 7, 400, 4);
-  // Tombstone a third of the rows; Extend requires a compacted instance,
-  // but the plan itself must agree with the compacted ground truth.
+  // Tombstone a third of the rows, then append and tombstone a few rows
+  // whose NULL sits in an otherwise NULL-free (even) column: that column's
+  // only NULLs are dead, so it belongs in the pool.
   for (size_t t = 0; t < rel.tuple_count(); ++t) {
     if (rng.Below(3) == 0) rel.DeleteRow(t);
   }
+  const int null_attr = 2 * static_cast<int>(rng.Below(3));
+  for (int i = 0; i < 3; ++i) {
+    std::vector<Value> row(7, Value(static_cast<int64_t>(rng.Below(4))));
+    row[static_cast<size_t>(null_attr)] = Value::Null();
+    rel.AppendRow(row);
+    rel.DeleteRow(rel.tuple_count() - 1);
+  }
   Relation compacted = rel.CompactedCopy();
   fd::Fd f = RandomFd(rng, 7);
-  fd::RepairOptions off;
-  off.max_added_attrs = 2;
-  off.use_planner = false;
-  off.threads = 1;
-  fd::RepairOptions on = off;
-  on.use_planner = true;
-  fd::RepairResult expected = fd::Extend(compacted, f, off);
-  for (int k : {1, 3}) {
-    on.threads = k;
-    ExpectSameRepairs(expected, fd::Extend(compacted, f, on), "tombstoned");
+  // Extend runs on the tombstoned relation itself and must reproduce the
+  // compacted ground truth bit for bit — repairs, measures and the work
+  // counters — at every width, planner on and off, NULL columns in and
+  // out of the pool.
+  for (bool planner : {false, true}) {
+    for (bool exclude_nulls : {true, false}) {
+      fd::RepairOptions opts;
+      opts.max_added_attrs = 2;
+      opts.use_planner = planner;
+      opts.pool.exclude_nulls = exclude_nulls;
+      opts.threads = 1;
+      const fd::RepairResult expected = fd::Extend(compacted, f, opts);
+      for (int k : {1, 3}) {
+        opts.threads = k;
+        const fd::RepairResult got = fd::Extend(rel, f, opts);
+        ExpectSameRepairs(expected, got, "tombstoned");
+        EXPECT_EQ(got.original_measures, expected.original_measures);
+        EXPECT_EQ(got.stats.candidates_evaluated,
+                  expected.stats.candidates_evaluated);
+        EXPECT_EQ(got.stats.pruned_by_bound, expected.stats.pruned_by_bound);
+        EXPECT_EQ(got.stats.nodes_expanded, expected.stats.nodes_expanded);
+        EXPECT_EQ(got.stats.frontier_peak, expected.stats.frontier_peak);
+      }
+    }
   }
   // PlanRepair works on the uncompacted relation directly — its measures
   // and live-row count must match the compacted instance exactly.
@@ -217,7 +239,7 @@ TEST_P(PlannerFuzz, BoundSoundnessOnRandomProjections) {
     // Multi-step reachability: |pi_{S u {a} u E}| is bounded by the
     // branch bound built from the top slot products, for every extension
     // set E the planner's max-depth admits.
-    fd::CostModel model(rel);
+    const fd::CostModel model(stats, live);
     AttrSet pool = AttrSet::Of({0, 1, 2, 3, 4, 5});
     const auto products = model.TopSlotProducts(pool, 3);
     for (int trial = 0; trial < 10; ++trial) {

@@ -473,11 +473,60 @@ TEST(SchemaMonitorTest, SuggestRepairsWorksOnTombstonedRelation) {
   shared.DeleteRow(1);  // unrelated tombstone stays in place
   mon.Poll();
   ASSERT_TRUE(mon.fds()[0].violated);
-  // The repair search itself is tombstone-unaware; the monitor must hand
-  // it a compacted view instead of tripping the hard-error guard.
+  // The repair search reads the live rows of the shared relation itself.
   auto suggestions = mon.SuggestRepairs();
   ASSERT_EQ(suggestions.size(), 1u);
   EXPECT_TRUE(suggestions[0].found());
+}
+
+TEST(SchemaMonitorTest, SuggestRepairsOnTombstonesEqualsExtendOnCompactedCopy) {
+  Schema schema({{"zip", DataType::kString},
+                 {"state", DataType::kString},
+                 {"city", DataType::kString},
+                 {"county", DataType::kString},
+                 {"area", DataType::kInt64}});
+  Relation shared("addr", schema);
+  const char* cities[] = {"A", "B", "C", "D", "E"};
+  for (int64_t t = 0; t < 60; ++t) {
+    shared.AppendRow({std::to_string(t % 6), t % 7 == 0 ? "X" : "Y",
+                      cities[t % 5], std::to_string(t % 4), t % 3});
+  }
+  SchemaMonitor mon(&shared, {Fd::Parse("zip -> state", schema),
+                              Fd::Parse("city -> county", schema)});
+  // Tombstone every fifth row, plus one appended row whose NULL is the only
+  // one in `area`.
+  for (size_t t = 0; t < shared.tuple_count(); t += 5) shared.DeleteRow(t);
+  shared.AppendRow({"0", "Y", "A", "0", Value::Null()});
+  shared.DeleteRow(shared.tuple_count() - 1);
+  mon.Poll();
+  const Relation compacted = shared.CompactedCopy();
+  for (int threads : {1, 3}) {
+    for (bool planner : {true, false}) {
+      RepairOptions opts;
+      opts.threads = threads;
+      opts.use_planner = planner;
+      const std::vector<RepairResult> got = mon.SuggestRepairs(opts);
+      std::vector<RepairResult> want;
+      for (const auto& m : mon.fds()) {
+        if (m.violated) want.push_back(Extend(compacted, m.fd, opts));
+      }
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_FALSE(want.empty());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].original_measures, want[i].original_measures) << i;
+        EXPECT_EQ(got[i].stats.candidates_evaluated,
+                  want[i].stats.candidates_evaluated)
+            << i;
+        EXPECT_EQ(got[i].stats.pruned_by_bound, want[i].stats.pruned_by_bound)
+            << i;
+        ASSERT_EQ(got[i].repairs.size(), want[i].repairs.size()) << i;
+        for (size_t r = 0; r < want[i].repairs.size(); ++r) {
+          EXPECT_EQ(got[i].repairs[r].added, want[i].repairs[r].added);
+          EXPECT_EQ(got[i].repairs[r].measures, want[i].repairs[r].measures);
+        }
+      }
+    }
+  }
 }
 
 TEST(SchemaMonitorTest, MonitorStateRestoreRejectsWatermarkMismatch) {

@@ -54,12 +54,6 @@ TEST(RelationTest, NonNullAttrs) {
   EXPECT_EQ(r.NonNullAttrs(), AttrSet::Of({0, 1}));
 }
 
-TEST(RelationTest, AnyNulls) {
-  Relation r = MakeSmall();
-  EXPECT_TRUE(r.AnyNulls(AttrSet::Of({1, 2})));
-  EXPECT_FALSE(r.AnyNulls(AttrSet::Of({0, 1})));
-}
-
 TEST(RelationTest, ArityMismatchThrows) {
   Relation r = MakeSmall();
   EXPECT_THROW(r.AppendRow({int64_t{1}}), std::invalid_argument);
